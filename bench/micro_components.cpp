@@ -126,6 +126,44 @@ BM_CoherentAccessMissStream(benchmark::State &state)
 }
 BENCHMARK(BM_CoherentAccessMissStream);
 
+/**
+ * The miss walk where the guest-OS workloads spend it: Fig 9's 4x1x12
+ * with 8 KiB LLC slices, seeded loads and stores from every tile to all
+ * four nodes' memory. The working set is several times the LLC, so most
+ * misses evict an LLC line and recall its private copies.
+ */
+void
+BM_CoherentAccessLlcEvict(benchmark::State &state)
+{
+    cache::Geometry geo;
+    geo.nodes = 4;
+    geo.tilesPerNode = 12;
+    geo.memPerNode = 1ULL << 30;
+    geo.llcSliceBytes = 8 << 10;
+    cache::CoherentSystem cs(geo, cache::TimingParams{},
+                             cache::HomingPolicy::kAddressNode);
+    sim::Xoroshiro rng(7);
+    Cycles now = 0;
+    for (auto _ : state) {
+        Addr addr = rng.below(1 << 13) * 64 +
+                    (rng.below(geo.nodes) << 30);
+        auto type = rng.chance(0.3) ? cache::AccessType::kStore
+                                    : cache::AccessType::kLoad;
+        now += 20;
+        benchmark::DoNotOptimize(
+            cs.access(static_cast<GlobalTileId>(rng.below(48)), addr, type,
+                      8, now));
+    }
+    auto per_access = [&](const char *name) {
+        return benchmark::Counter(
+            static_cast<double>(cs.stats().counterValue(name)) /
+            static_cast<double>(state.iterations()));
+    };
+    state.counters["misses"] = per_access("cs.bpc.misses");
+    state.counters["llc_evictions"] = per_access("cs.llc.evictions");
+}
+BENCHMARK(BM_CoherentAccessLlcEvict);
+
 void
 BM_EventQueueScheduleRun(benchmark::State &state)
 {

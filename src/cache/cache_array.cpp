@@ -1,5 +1,6 @@
 #include "cache/cache_array.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "snap/state_io.hpp"
@@ -20,145 +21,141 @@ CacheArray::CacheArray(std::uint64_t size_bytes, std::uint32_t ways,
     fatalIf(sets == 0 || !std::has_single_bit(sets),
             "cache set count must be a nonzero power of two");
     sets_ = static_cast<std::uint32_t>(sets);
-    entries_.resize(static_cast<std::size_t>(sets_) * ways_);
+    lineShift_ = static_cast<std::uint32_t>(std::countr_zero(line_bytes));
+    std::size_t slots = static_cast<std::size_t>(sets_) * ways_;
+    tag_.assign(slots, kEmpty);
+    state_.assign(slots, 0);
+    lastUse_.assign(slots, 0);
 }
 
 std::uint32_t
-CacheArray::setIndex(Addr addr) const
+CacheArray::slotOf(Addr addr) const
 {
-    return static_cast<std::uint32_t>((addr / lineBytes_) & (sets_ - 1));
-}
-
-CacheArray::Entry *
-CacheArray::find(Addr addr)
-{
-    Addr line = addr & ~static_cast<Addr>(lineBytes_ - 1);
-    std::size_t base = static_cast<std::size_t>(setIndex(addr)) * ways_;
+    Addr line = lineOf(addr);
+    std::size_t base = setBase(addr);
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        Entry &e = entries_[base + w];
-        if (e.valid && e.line == line)
-            return &e;
+        if (tag_[base + w] == line)
+            return static_cast<std::uint32_t>(base + w);
     }
-    return nullptr;
+    return kNoSlot;
 }
 
-const CacheArray::Entry *
-CacheArray::find(Addr addr) const
+std::optional<Addr>
+CacheArray::lineAt(std::uint32_t slot) const
 {
-    return const_cast<CacheArray *>(this)->find(addr);
+    Addr line = tag_.at(slot);
+    return line != kEmpty ? std::optional<Addr>(line) : std::nullopt;
 }
 
 bool
 CacheArray::lookup(Addr addr)
 {
-    Entry *e = find(addr);
-    if (!e)
+    std::uint32_t slot = slotOf(addr);
+    if (slot == kNoSlot)
         return false;
-    e->lastUse = ++useClock_;
+    lastUse_[slot] = ++useClock_;
     return true;
 }
 
 bool
 CacheArray::lookupIfState(Addr addr, std::uint32_t state)
 {
-    Entry *e = find(addr);
-    if (!e || e->state != state)
+    std::uint32_t slot = slotOf(addr);
+    if (slot == kNoSlot || state_[slot] != state)
         return false;
-    e->lastUse = ++useClock_;
+    lastUse_[slot] = ++useClock_;
     return true;
 }
 
 bool
 CacheArray::probe(Addr addr) const
 {
-    return find(addr) != nullptr;
+    return slotOf(addr) != kNoSlot;
 }
 
 std::uint32_t
 CacheArray::state(Addr addr) const
 {
-    const Entry *e = find(addr);
-    panicIf(!e, "state() on non-resident line");
-    return e->state;
+    std::uint32_t slot = slotOf(addr);
+    panicIf(slot == kNoSlot, "state() on non-resident line");
+    return state_[slot];
 }
 
 void
 CacheArray::setState(Addr addr, std::uint32_t state)
 {
-    Entry *e = find(addr);
-    panicIf(!e, "setState() on non-resident line");
-    e->state = state;
+    std::uint32_t slot = slotOf(addr);
+    panicIf(slot == kNoSlot, "setState() on non-resident line");
+    state_[slot] = state;
 }
 
 std::optional<Victim>
-CacheArray::insert(Addr addr, std::uint32_t state)
+CacheArray::insert(Addr addr, std::uint32_t state, std::uint32_t *slot_out)
 {
-    panicIf(find(addr) != nullptr, "insert() of already-resident line");
-    Addr line = addr & ~static_cast<Addr>(lineBytes_ - 1);
-    std::size_t base = static_cast<std::size_t>(setIndex(addr)) * ways_;
+    Addr line = lineOf(addr);
+    std::size_t base = setBase(addr);
 
-    Entry *slot = nullptr;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        Entry &e = entries_[base + w];
-        if (!e.valid) {
-            slot = &e;
-            break;
+    // One scan finds the first empty way and the true-LRU way (the first
+    // among equal stamps), and rejects an already-resident line.
+    std::size_t empty = base + ways_;
+    std::size_t lru = base;
+    for (std::size_t s = base; s < base + ways_; ++s) {
+        panicIf(tag_[s] == line, "insert() of already-resident line");
+        if (tag_[s] == kEmpty) {
+            if (empty == base + ways_)
+                empty = s;
+        } else if (lastUse_[s] < lastUse_[lru]) {
+            lru = s;
         }
     }
 
     std::optional<Victim> victim;
-    if (!slot) {
-        // Evict true-LRU.
-        slot = &entries_[base];
-        for (std::uint32_t w = 1; w < ways_; ++w) {
-            Entry &e = entries_[base + w];
-            if (e.lastUse < slot->lastUse)
-                slot = &e;
-        }
-        victim = Victim{slot->line, slot->state};
+    std::size_t slot = empty;
+    if (slot == base + ways_) {
+        slot = lru;
+        victim = Victim{tag_[slot], state_[slot]};
     }
 
-    slot->line = line;
-    slot->state = state;
-    slot->valid = true;
-    slot->lastUse = ++useClock_;
+    tag_[slot] = line;
+    state_[slot] = state;
+    lastUse_[slot] = ++useClock_;
+    if (slot_out)
+        *slot_out = static_cast<std::uint32_t>(slot);
     return victim;
 }
 
 std::optional<std::uint32_t>
 CacheArray::invalidate(Addr addr)
 {
-    Entry *e = find(addr);
-    if (!e)
+    std::uint32_t slot = slotOf(addr);
+    if (slot == kNoSlot)
         return std::nullopt;
-    e->valid = false;
-    return e->state;
+    tag_[slot] = kEmpty;
+    return state_[slot];
 }
 
 void
 CacheArray::flush()
 {
-    for (Entry &e : entries_)
-        e.valid = false;
+    std::fill(tag_.begin(), tag_.end(), kEmpty);
 }
 
 void
 CacheArray::forEachLine(
     const std::function<void(Addr, std::uint32_t)> &fn) const
 {
-    for (const Entry &e : entries_) {
-        if (e.valid)
-            fn(e.line, e.state);
+    for (std::size_t s = 0; s < tag_.size(); ++s) {
+        if (tag_[s] != kEmpty)
+            fn(tag_[s], state_[s]);
     }
 }
 
 std::uint64_t
 CacheArray::occupancy() const
 {
-    std::uint64_t n = 0;
-    for (const Entry &e : entries_)
-        n += e.valid ? 1 : 0;
-    return n;
+    return static_cast<std::uint64_t>(
+        tag_.size() - static_cast<std::size_t>(
+                          std::count(tag_.begin(), tag_.end(), kEmpty)));
 }
 
 void
@@ -168,13 +165,14 @@ CacheArray::saveState(snap::Writer &w) const
     w.u32(ways_);
     w.u32(lineBytes_);
     w.u64(useClock_);
-    for (const Entry &e : entries_) {
-        w.boolean(e.valid);
-        if (!e.valid)
+    for (std::size_t s = 0; s < tag_.size(); ++s) {
+        bool valid = tag_[s] != kEmpty;
+        w.boolean(valid);
+        if (!valid)
             continue;
-        w.u64(e.line);
-        w.u32(e.state);
-        w.u64(e.lastUse);
+        w.u64(tag_[s]);
+        w.u32(state_[s]);
+        w.u64(lastUse_[s]);
     }
 }
 
@@ -189,15 +187,20 @@ CacheArray::restoreState(snap::Reader &r)
                    "live array's %ux%u/%uB",
                    sets, ways, line_bytes, sets_, ways_, lineBytes_));
     useClock_ = r.u64();
-    for (Entry &e : entries_) {
-        e.valid = r.boolean();
-        if (!e.valid) {
-            e = Entry{};
+    for (std::size_t s = 0; s < tag_.size(); ++s) {
+        tag_[s] = kEmpty;
+        state_[s] = 0;
+        lastUse_[s] = 0;
+        if (!r.boolean())
             continue;
-        }
-        e.line = r.u64();
-        e.state = r.u32();
-        e.lastUse = r.u64();
+        Addr line = r.u64();
+        fatalIf(line != lineOf(line) ||
+                    setBase(line) != s - s % ways_,
+                strfmt("checkpoint line 0x%llx sits in the wrong set",
+                       static_cast<unsigned long long>(line)));
+        tag_[s] = line;
+        state_[s] = r.u32();
+        lastUse_[s] = r.u64();
     }
 }
 

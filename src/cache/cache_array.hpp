@@ -38,6 +38,9 @@ struct Victim
 class CacheArray
 {
   public:
+    /** slotOf() result for a line that is not resident. */
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
     /**
      * @param size_bytes Total capacity.
      * @param ways Associativity.
@@ -68,10 +71,12 @@ class CacheArray
 
     /**
      * Inserts @p addr's line (must not be resident), evicting the LRU way
-     * if the set is full.
+     * if the set is full. When @p slot_out is non-null it receives the slot
+     * the line now occupies (the victim's former slot on an eviction).
      * @return The victim, if one was evicted.
      */
-    std::optional<Victim> insert(Addr addr, std::uint32_t state = 0);
+    std::optional<Victim> insert(Addr addr, std::uint32_t state = 0,
+                                 std::uint32_t *slot_out = nullptr);
 
     /** Removes a line if present; returns its state. */
     std::optional<std::uint32_t> invalidate(Addr addr);
@@ -82,6 +87,19 @@ class CacheArray
     std::uint32_t sets() const { return sets_; }
     std::uint32_t ways() const { return ways_; }
     std::uint32_t lineBytes() const { return lineBytes_; }
+
+    /**
+     * Number of line slots. Slot set * ways + way names one way of one
+     * set; a resident line keeps its slot until it is evicted or
+     * invalidated, so callers may index side tables by slot.
+     */
+    std::uint32_t slots() const { return sets_ * ways_; }
+
+    /** Slot holding @p addr's line, or kNoSlot; does not touch LRU. */
+    std::uint32_t slotOf(Addr addr) const;
+
+    /** Line resident in @p slot, or nullopt when the slot is empty. */
+    std::optional<Addr> lineAt(std::uint32_t slot) const;
 
     /** Number of resident lines (for inclusion/occupancy checks). */
     std::uint64_t occupancy() const;
@@ -96,23 +114,28 @@ class CacheArray
     void restoreState(snap::Reader &r);
 
   private:
-    struct Entry
-    {
-        Addr line = 0;
-        std::uint32_t state = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
+    /** tag_ value of an empty slot; lines are aligned, so never a line. */
+    static constexpr Addr kEmpty = ~Addr{0};
 
-    std::uint32_t setIndex(Addr addr) const;
-    Entry *find(Addr addr);
-    const Entry *find(Addr addr) const;
+    /** First slot of @p addr's set. */
+    std::size_t setBase(Addr addr) const
+    {
+        return static_cast<std::size_t>((addr >> lineShift_) & (sets_ - 1)) *
+               ways_;
+    }
+    /** Line base address of @p addr. */
+    Addr lineOf(Addr addr) const { return addr & ~(Addr{lineBytes_} - 1); }
 
     std::uint32_t sets_;
     std::uint32_t ways_;
     std::uint32_t lineBytes_;
+    std::uint32_t lineShift_; ///< log2(lineBytes_).
     std::uint64_t useClock_ = 0;
-    std::vector<Entry> entries_; ///< sets_ * ways_, set-major.
+    // Per slot, set-major (slot = set * ways + way), split by field so a
+    // set scan reads only the tags.
+    std::vector<Addr> tag_;              ///< Resident line, or kEmpty.
+    std::vector<std::uint32_t> state_;   ///< Aux state word.
+    std::vector<std::uint64_t> lastUse_; ///< LRU stamp from useClock_.
 };
 
 } // namespace smappic::cache

@@ -18,6 +18,41 @@ constexpr std::uint32_t kReqBytes = 16;
 /** Data packet wire footprint: header + address + 8 data flits. */
 constexpr std::uint32_t kDataBytes = 16 + kCacheLineBytes;
 
+/**
+ * Registry names of CoherentSystem::Stat, in enum order. Held as strings
+ * so that the by-name lookups of parallel mode construct none.
+ */
+const std::string kStatNames[] = {
+    "cs.l1.hits",
+    "cs.l1.storeHits",
+    "cs.bpc.hits",
+    "cs.bpc.misses",
+    "cs.bpc.writebacks",
+    "cs.bpc.cleanEvicts",
+    "cs.bridge.crossings",
+    "cs.bridge.bytes",
+    "cs.dram.accesses",
+    "cs.dir.ownerRecalls",
+    "cs.dir.invalidations",
+    "cs.dir.downgrades",
+    "cs.dir.storeMisses",
+    "cs.llc.fills",
+    "cs.llc.evictions",
+    "cs.llc.writebacks",
+    "cs.atomics",
+    "cs.device.loads",
+    "cs.device.stores",
+    "cs.nc.accesses",
+    "cs.cdr.uncachedRemote",
+    "cs.serviced.llcLocal",
+    "cs.serviced.llcRemote",
+    "cs.serviced.dramLocal",
+    "cs.serviced.dramRemote",
+    "cs.mutation.lostInvalidations",
+    "cs.mutation.droppedOwnerUpdates",
+};
+const std::string kMissLatencyName = "cs.missLatency";
+
 std::uint64_t
 mixLine(Addr line)
 {
@@ -32,8 +67,10 @@ mixLine(Addr line)
 
 CoherentSystem::CoherentSystem(const Geometry &geo, const TimingParams &timing,
                                HomingPolicy homing, sim::StatRegistry *stats)
-    : geo_(geo), timing_(timing), homing_(homing), topo_(geo.tilesPerNode)
+    : geo_(geo), timing_(timing), homing_(homing)
 {
+    static_assert(std::size(kStatNames) ==
+                  static_cast<std::size_t>(Stat::kCount));
     fatalIf(geo.nodes == 0 || geo.tilesPerNode == 0,
             "system needs at least one node and one tile");
     fatalIf(geo.totalTiles() > 64,
@@ -57,7 +94,28 @@ CoherentSystem::CoherentSystem(const Geometry &geo, const TimingParams &timing,
         bpc_.emplace_back(geo.bpcBytes, geo.bpcWays);
         llc_.emplace_back(geo.llcSliceBytes, geo.llcWays);
     }
+    llcSlots_ = llc_.front().slots();
+    dir_ = std::make_unique_for_overwrite<DirEntry[]>(
+        static_cast<std::size_t>(total) * llcSlots_);
     tileMu_ = std::make_unique<std::mutex[]>(total);
+
+    // Hop tables: every (from, to) pair of tiles plus the off-chip port,
+    // which MeshTopology places north of tile 0.
+    noc::MeshTopology topo(geo.tilesPerNode);
+    std::uint32_t ports = geo.tilesPerNode + 1;
+    auto port_tile = [&](std::uint32_t i) {
+        return i == geo.tilesPerNode ? noc::kOffChipTile
+                                     : static_cast<TileId>(i);
+    };
+    hops_.resize(static_cast<std::size_t>(ports) * ports);
+    hopsOffChip_.resize(ports);
+    for (std::uint32_t a = 0; a < ports; ++a) {
+        for (std::uint32_t b = 0; b < ports; ++b)
+            hops_[a * ports + b] = static_cast<std::uint8_t>(
+                topo.hops(port_tile(a), port_tile(b)));
+        hopsOffChip_[a] =
+            static_cast<std::uint8_t>(topo.hopsToOffChip(port_tile(a)));
+    }
     llcServer_.assign(total, sim::QueueServer(4));
     dramServer_.assign(geo.nodes, sim::QueueServer(timing_.dramBanks));
     for (std::uint32_t n = 0; n < geo.nodes; ++n) {
@@ -111,6 +169,35 @@ CoherentSystem::homeOf(Addr addr) const
     panic("unknown homing policy");
 }
 
+sim::Counter &
+CoherentSystem::resolveStat(Stat s)
+{
+    auto i = static_cast<std::size_t>(s);
+    if (parallel_)
+        return stats_->counter(kStatNames[i]);
+    if (statCache_[i] == nullptr)
+        statCache_[i] = &stats_->counter(kStatNames[i]);
+    return *statCache_[i];
+}
+
+sim::Summary &
+CoherentSystem::missLatencyStat()
+{
+    if (parallel_)
+        return stats_->summaryStat(kMissLatencyName);
+    if (missLatencyCache_ == nullptr)
+        missLatencyCache_ = &stats_->summaryStat(kMissLatencyName);
+    return *missLatencyCache_;
+}
+
+CoherentSystem::HomeRef
+CoherentSystem::homeRef(Addr line) const
+{
+    auto [hn, ht] = homeOf(line);
+    GlobalTileId gid = gidOf(hn, ht);
+    return HomeRef{hn, ht, gid, llc_[gid].slotOf(line)};
+}
+
 void
 CoherentSystem::addDevice(Addr base, std::uint64_t size, GlobalTileId gid,
                           NcDevice *dev)
@@ -130,12 +217,11 @@ CoherentSystem::nocPath(NodeId sn, TileId st, NodeId dn, TileId dt,
 {
     const Cycles start = t;
     if (sn == dn) {
-        std::uint32_t hops = (dt == noc::kOffChipTile)
-                                 ? topo_.hopsToOffChip(st)
-                                 : topo_.hops(st, dt);
+        std::uint32_t n = (dt == noc::kOffChipTile) ? hopsToOffChip(st)
+                                                    : hops(st, dt);
         if (crossed)
             *crossed = false;
-        Cycles done = t + timing_.nocInject + hops * timing_.hopLatency;
+        Cycles done = t + timing_.nocInject + n * timing_.hopLatency;
         if (traceNoc_)
             traceNocPath(sn, st, dn, dt, bytes, start, done, false);
         return done;
@@ -146,15 +232,15 @@ CoherentSystem::nocPath(NodeId sn, TileId st, NodeId dn, TileId dt,
     // to the destination tile (SMAPPIC section 3.1, stages 1-10).
     if (crossed)
         *crossed = true;
-    stats_->counter("cs.bridge.crossings").increment();
-    stats_->counter("cs.bridge.bytes").increment(bytes);
+    stat(Stat::kBridgeCrossings).increment();
+    stat(Stat::kBridgeBytes).increment(bytes);
 
-    t += timing_.nocInject + topo_.hopsToOffChip(st) * timing_.hopLatency;
+    t += timing_.nocInject + hopsToOffChip(st) * timing_.hopLatency;
     t = bridgeOut_[sn].send(t, bytes);
     t = pcieOut_[sn].send(t, bytes);
     t = bridgeIn_[dn].send(t, bytes);
     if (dt != noc::kOffChipTile)
-        t += (topo_.hops(0, dt) + 1) * timing_.hopLatency;
+        t += hopsToOffChip(dt) * timing_.hopLatency; // Tile 0 + north hop.
     if (traceNoc_)
         traceNocPath(sn, st, dn, dt, bytes, start, t, true);
     return t;
@@ -195,7 +281,7 @@ CoherentSystem::dramAccess(NodeId node, std::uint32_t bytes, Cycles t)
     if (service == 0)
         service = 1;
     auto grant = dramServer_[node].offer(t, service);
-    stats_->counter("cs.dram.accesses").increment();
+    stat(Stat::kDramAccesses).increment();
     return grant.done + timing_.dramLatency;
 }
 
@@ -211,79 +297,72 @@ CoherentSystem::dropPrivate(Addr line, GlobalTileId gid)
         bpc_[gid].invalidate(line);
     }
     maybeClearStale(line, gid);
-    auto it = directory_.find(line);
-    if (it == directory_.end())
-        return;
-    it->second.sharers &= ~(1ULL << gid);
-    if (it->second.owner == static_cast<std::int32_t>(gid))
-        it->second.owner = -1;
 }
 
 void
-CoherentSystem::loseInvalidation(Addr line, GlobalTileId gid)
+CoherentSystem::loseInvalidation(DirEntry &dir, GlobalTileId gid)
 {
     // The directory forgets the copy (as if the ack arrived) but the
     // tile's arrays are left untouched: from now on the tile serves the
     // frozen pre-store image of the line.
-    auto it = directory_.find(line);
-    if (it != directory_.end()) {
-        it->second.sharers &= ~(1ULL << gid);
-        if (it->second.owner == static_cast<std::int32_t>(gid))
-            it->second.owner = -1;
-    }
+    forget(dir, gid);
     staleFired_ = true;
     staleVictim_ = gid;
     staleBytes_ = armedBytes_;
-    stats_->counter("cs.mutation.lostInvalidations").increment();
+    stat(Stat::kMutationLostInvalidations).increment();
 }
 
 Cycles
-CoherentSystem::recallPrivate(Addr line, NodeId hn, TileId ht, Cycles t,
-                              bool keep_data_in_llc)
+CoherentSystem::recallPrivate(Addr line, const HomeRef &home, DirEntry &dir,
+                              Cycles t, std::uint64_t keep)
 {
-    DirEntry &dir = dirEntry(line);
     Cycles last_ack = t;
 
     auto round_trip = [&](GlobalTileId g, std::uint32_t resp_bytes) {
-        Cycles tr = nocPath(hn, ht, nodeOf(g), tileOf(g), kReqBytes, t);
+        Cycles tr =
+            nocPath(home.node, home.tile, nodeOf(g), tileOf(g), kReqBytes, t);
         tr += timing_.privLatency;
-        tr = nocPath(nodeOf(g), tileOf(g), hn, ht, resp_bytes, tr);
+        tr = nocPath(nodeOf(g), tileOf(g), home.node, home.tile, resp_bytes,
+                     tr);
         last_ack = std::max(last_ack, tr);
     };
 
-    if (dir.owner >= 0) {
+    if (dir.owner >= 0 && ((keep >> dir.owner) & 1) == 0) {
         auto g = static_cast<GlobalTileId>(dir.owner);
         round_trip(g, kDataBytes); // Owner returns dirty data.
-        if (keep_data_in_llc)
-            dir.dirty = true;
+        dir.dirty = true;
         dropPrivate(line, g);
-        stats_->counter("cs.dir.ownerRecalls").increment();
+        forget(dir, g);
+        stat(Stat::kDirOwnerRecalls).increment();
     }
-    std::uint64_t sharers = dir.sharers;
+    std::uint64_t sharers = dir.sharers & ~keep;
     while (sharers) {
         auto g = static_cast<GlobalTileId>(__builtin_ctzll(sharers));
         sharers &= sharers - 1;
         round_trip(g, kReqBytes); // Clean sharers ack without data.
-        if (shouldLoseInvalidation(line))
-            loseInvalidation(line, g);
-        else
+        if (shouldLoseInvalidation(line)) {
+            loseInvalidation(dir, g);
+        } else {
             dropPrivate(line, g);
-        stats_->counter("cs.dir.invalidations").increment();
+            forget(dir, g);
+        }
+        stat(Stat::kDirInvalidations).increment();
     }
     return last_ack;
 }
 
 Cycles
-CoherentSystem::llcEnsureResident(Addr line, NodeId hn, TileId ht, Cycles t,
+CoherentSystem::llcEnsureResident(Addr line, HomeRef &home, Cycles t,
                                   bool &from_dram)
 {
-    DirEntry &dir = dirEntry(line);
-    if (dir.inLlc) {
+    if (home.slot != CacheArray::kNoSlot) {
         from_dram = false;
         return t;
     }
 
     from_dram = true;
+    NodeId hn = home.node;
+    TileId ht = home.tile;
     NodeId dram_node = addrNode(line);
     if (dram_node != hn) {
         // Only possible under kGlobalHash homing: the home slice and the
@@ -294,47 +373,38 @@ CoherentSystem::llcEnsureResident(Addr line, NodeId hn, TileId ht, Cycles t,
     } else {
         // Home slice talks to its node-local memory controller through the
         // chipset (off-chip port).
-        t += (topo_.hopsToOffChip(ht)) * timing_.hopLatency;
+        t += hopsToOffChip(ht) * timing_.hopLatency;
         t = dramAccess(hn, kCacheLineBytes, t);
-        t += (topo_.hopsToOffChip(ht)) * timing_.hopLatency;
+        t += hopsToOffChip(ht) * timing_.hopLatency;
     }
 
-    GlobalTileId home_gid = gidOf(hn, ht);
-    auto victim = llc_[home_gid].insert(line, 0);
+    auto victim = llc_[home.gid].insert(line, 0, &home.slot);
+    DirEntry &entry = dirAt(home);
     if (victim) {
-        // Inclusive LLC: recall every private copy of the victim line and
-        // write it back if dirty anywhere.
+        // Inclusive LLC: the victim's directory entry is the one in the
+        // slot just taken over. Recall every private copy of the victim
+        // line and write it back if a tile owned it.
         Addr vline = victim->line;
-        auto vit = directory_.find(vline);
-        bool dirty = (victim->state & 1) != 0;
-        if (vit != directory_.end()) {
-            DirEntry &vdir = vit->second;
-            if (vdir.owner >= 0)
-                dirty = true;
-            std::uint64_t members =
-                vdir.sharers |
-                (vdir.owner >= 0 ? (1ULL << vdir.owner) : 0);
-            while (members) {
-                auto g =
-                    static_cast<GlobalTileId>(__builtin_ctzll(members));
-                members &= members - 1;
-                dropPrivate(vline, g);
-            }
-            directory_.erase(vit);
+        const DirEntry &vdir = entry;
+        std::uint64_t members =
+            vdir.sharers | (vdir.owner >= 0 ? (1ULL << vdir.owner) : 0);
+        while (members) {
+            auto g = static_cast<GlobalTileId>(__builtin_ctzll(members));
+            members &= members - 1;
+            dropPrivate(vline, g);
         }
-        if (dirty) {
-            NodeId vnode = addrNode(vline);
-            dramAccess(vnode, kCacheLineBytes, t); // Async writeback.
-            stats_->counter("cs.llc.writebacks").increment();
+        if (vdir.owner >= 0) {
+            // Known gap: vdir.dirty (an LLC copy newer than DRAM) is not
+            // written back; see INTERNALS "Miss-walk data layout".
+            dramAccess(addrNode(vline), kCacheLineBytes, t); // Async.
+            stat(Stat::kLlcWritebacks).increment();
         }
         t += timing_.llcEvictPenalty;
-        stats_->counter("cs.llc.evictions").increment();
+        stat(Stat::kLlcEvictions).increment();
     }
 
-    DirEntry &fresh = dirEntry(line);
-    fresh.inLlc = true;
-    fresh.dirty = false;
-    stats_->counter("cs.llc.fills").increment();
+    entry = DirEntry{0, -1, true, false}; // No private copies yet.
+    stat(Stat::kLlcFills).increment();
     return t;
 }
 
@@ -349,8 +419,8 @@ CoherentSystem::privateFill(Addr line, GlobalTileId gid, std::uint32_t state,
         l1d_[gid].invalidate(vline);
         l1i_[gid].invalidate(vline);
 
-        auto vit = directory_.find(vline);
-        if (vit == directory_.end()) {
+        HomeRef vhome = homeRef(vline);
+        if (vhome.slot == CacheArray::kNoSlot) {
             // Only reachable when a test mutation orphaned this copy
             // (the directory dropped it without the tile noticing and
             // the entry was since reclaimed); silently complete the
@@ -359,24 +429,24 @@ CoherentSystem::privateFill(Addr line, GlobalTileId gid, std::uint32_t state,
                     "BPC line without a directory entry");
             maybeClearStale(vline, gid);
         } else {
-            DirEntry &vdir = vit->second;
-            auto [vhn, vht] = homeOf(vline);
+            DirEntry &vdir = dirAt(vhome);
             if (victim->state == kModified) {
                 // Dirty victim: write back to the home LLC slice. The
                 // writeback is buffered, so it consumes path bandwidth
                 // but does not delay the current transaction.
-                nocPath(nodeOf(gid), tileOf(gid), vhn, vht, kDataBytes, t);
+                nocPath(nodeOf(gid), tileOf(gid), vhome.node, vhome.tile,
+                        kDataBytes, t);
                 panicIf(vdir.owner != static_cast<std::int32_t>(gid) &&
                             mutation_ == TestMutation::kNone,
                         "dirty victim not owned by evicting tile");
                 if (vdir.owner == static_cast<std::int32_t>(gid))
                     vdir.owner = -1;
                 vdir.dirty = true;
-                stats_->counter("cs.bpc.writebacks").increment();
+                stat(Stat::kBpcWritebacks).increment();
             } else {
                 // Clean victim: notify the directory (precise tracking).
                 vdir.sharers &= ~(1ULL << gid);
-                stats_->counter("cs.bpc.cleanEvicts").increment();
+                stat(Stat::kBpcCleanEvicts).increment();
             }
             maybeClearStale(vline, gid);
         }
@@ -407,11 +477,11 @@ CoherentSystem::deviceAccess(const DeviceWindow &w, GlobalTileId gid,
         type == AccessType::kAtomic) {
         std::uint64_t value = memory_.load(addr, std::min(bytes, 8u));
         w.dev->ncStore(addr - w.base, bytes, value, t, service);
-        stats_->counter("cs.device.stores").increment();
+        stat(Stat::kDeviceStores).increment();
     } else {
         std::uint64_t value = w.dev->ncLoad(addr - w.base, bytes, t, service);
         memory_.store(addr, std::min(bytes, 8u), value);
-        stats_->counter("cs.device.loads").increment();
+        stat(Stat::kDeviceLoads).increment();
     }
     t += service;
     t = nocPath(nodeOf(w.gid), tileOf(w.gid), nodeOf(gid), tileOf(gid),
@@ -434,13 +504,7 @@ CoherentSystem::fetchFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
     // nothing on a miss.
     if (!l1i_[gid].lookup(addr))
         return false;
-    if (parallel_) {
-        stats_->counter("cs.l1.hits").increment();
-    } else {
-        if (l1HitsSerial_ == nullptr)
-            l1HitsSerial_ = &stats_->counter("cs.l1.hits");
-        l1HitsSerial_->increment();
-    }
+    stat(Stat::kL1Hits).increment();
     lat = timing_.l1HitLatency;
     return true;
 }
@@ -463,13 +527,7 @@ CoherentSystem::loadFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
     // nothing on a miss.
     if (!l1d_[gid].lookup(addr))
         return false;
-    if (parallel_) {
-        stats_->counter("cs.l1.hits").increment();
-    } else {
-        if (l1HitsSerial_ == nullptr)
-            l1HitsSerial_ = &stats_->counter("cs.l1.hits");
-        l1HitsSerial_->increment();
-    }
+    stat(Stat::kL1Hits).increment();
     lat = timing_.l1HitLatency;
     return true;
 }
@@ -490,13 +548,7 @@ CoherentSystem::storeFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
     if (!bpc_[gid].lookupIfState(line, kModified))
         return false;
     l1d_[gid].lookup(line);
-    if (parallel_) {
-        stats_->counter("cs.l1.storeHits").increment();
-    } else {
-        if (l1StoreHitsSerial_ == nullptr)
-            l1StoreHitsSerial_ = &stats_->counter("cs.l1.storeHits");
-        l1StoreHitsSerial_->increment();
-    }
+    stat(Stat::kL1StoreHits).increment();
     lat = timing_.l1HitLatency;
     return true;
 }
@@ -524,7 +576,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
         addrNode(addr) != my_node &&
         (type == AccessType::kLoad || type == AccessType::kStore ||
          type == AccessType::kFetch || type == AccessType::kAtomic)) {
-        stats_->counter("cs.cdr.uncachedRemote").increment();
+        stat(Stat::kCdrUncachedRemote).increment();
         type = (type == AccessType::kStore || type == AccessType::kAtomic)
                    ? AccessType::kNcStore
                    : AccessType::kNcLoad;
@@ -543,7 +595,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
         t = dramAccess(dn, bytes, t);
         t = nocPath(dn, noc::kOffChipTile, my_node, my_tile,
                     kReqBytes + (type == AccessType::kNcLoad ? bytes : 0), t);
-        stats_->counter("cs.nc.accesses").increment();
+        stat(Stat::kNcAccesses).increment();
         return AccessResult{
             t - now,
             dn == my_node ? ServiceLevel::kDramLocal
@@ -563,7 +615,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
         // --- L1 hit path ---
         if (type == AccessType::kLoad || type == AccessType::kFetch) {
             if (l1.lookup(addr)) {
-                stats_->counter("cs.l1.hits").increment();
+                stat(Stat::kL1Hits).increment();
                 AccessResult res{timing_.l1HitLatency, ServiceLevel::kL1,
                                  false};
                 if (mutation_ != TestMutation::kNone)
@@ -574,12 +626,9 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
             // Write-through L1: a store completes at L1 speed only when
             // the BPC already holds the line in M (the store buffer
             // hides the write-through).
-            if (bpc_[gid].probe(line) &&
-                bpc_[gid].state(line) == kModified) {
-                bpc_[gid].lookup(line);
-                if (l1.probe(line))
-                    l1.lookup(line);
-                stats_->counter("cs.l1.storeHits").increment();
+            if (bpc_[gid].lookupIfState(line, kModified)) {
+                l1.lookup(line);
+                stat(Stat::kL1StoreHits).increment();
                 return AccessResult{timing_.l1HitLatency,
                                     ServiceLevel::kL1, false};
             }
@@ -590,7 +639,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
             bpc_[gid].lookup(line)) {
             if (!l1.probe(line))
                 l1.insert(line, kShared);
-            stats_->counter("cs.bpc.hits").increment();
+            stat(Stat::kBpcHits).increment();
             AccessResult res{timing_.l1MissDetect + timing_.privLatency,
                              ServiceLevel::kPrivate, false};
             if (mutation_ != TestMutation::kNone)
@@ -604,18 +653,22 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
     // servers, bridge shapers, peer private arrays on recalls), so it is
     // one critical section under the phased engine.
     auto guard = parallelGuard();
-    stats_->counter("cs.bpc.misses").increment();
-    auto [hn, ht] = homeOf(line);
-    GlobalTileId home_gid = gidOf(hn, ht);
+    stat(Stat::kBpcMisses).increment();
+    HomeRef home = homeRef(line);
+    const NodeId hn = home.node;
+    const TileId ht = home.tile;
     bool crossed = false;
     bool upgrade = type == AccessType::kStore && bpc_[gid].probe(line);
 
     Cycles t = now + timing_.l1MissDetect + timing_.privLatency;
     t = nocPath(my_node, my_tile, hn, ht, kReqBytes, t, &crossed);
-    auto grant = llcServer_[home_gid].offer(t, timing_.llcOccupancy);
+    auto grant = llcServer_[home.gid].offer(t, timing_.llcOccupancy);
     t = grant.start + timing_.llcLatency;
 
-    DirEntry &dir = dirEntry(line);
+    // A line absent from its home slice has no directory entry: it reads
+    // as blank until llcEnsureResident() installs one.
+    DirEntry blank = kBlankDir;
+    DirEntry &dir = home.slot == CacheArray::kNoSlot ? blank : dirAt(home);
     bool from_dram = false;
 
     switch (type) {
@@ -637,32 +690,31 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
               dir.sharers |= 1ULL << og;
               dir.owner = -1;
               dir.dirty = true;
-              stats_->counter("cs.dir.downgrades").increment();
+              stat(Stat::kDirDowngrades).increment();
           } else {
-              t = llcEnsureResident(line, hn, ht, t, from_dram);
+              t = llcEnsureResident(line, home, t, from_dram);
           }
           t = nocPath(hn, ht, my_node, my_tile, kDataBytes, t);
           t += timing_.privFillLatency;
           privateFill(line, gid, kShared, type == AccessType::kFetch, t);
-          dirEntry(line).sharers |= 1ULL << gid;
+          dirAt(home).sharers |= 1ULL << gid;
           break;
       }
       case AccessType::kStore: {
           if (dir.owner >= 0 || (dir.sharers & ~(1ULL << gid)) != 0) {
-              Cycles acks = recallPrivateExcept(line, hn, ht, t, gid);
+              Cycles acks = recallPrivate(line, home, dir, t, 1ULL << gid);
               t = std::max(t, acks);
           }
-          t = llcEnsureResident(line, hn, ht, t, from_dram);
+          t = llcEnsureResident(line, home, t, from_dram);
           std::uint32_t resp = upgrade ? kReqBytes : kDataBytes;
           t = nocPath(hn, ht, my_node, my_tile, resp, t);
           t += timing_.privFillLatency;
           bool drop_owner = mutation_ == TestMutation::kDropOwnerUpdate &&
                             line == mutationLine_;
-          DirEntry &d = dirEntry(line);
+          DirEntry &d = dirAt(home);
           d.sharers &= ~(1ULL << gid);
           if (drop_owner)
-              stats_->counter("cs.mutation.droppedOwnerUpdates")
-                  .increment();
+              stat(Stat::kMutationDroppedOwnerUpdates).increment();
           else
               d.owner = static_cast<std::int32_t>(gid);
           if (bpc_[gid].probe(line)) {
@@ -671,9 +723,6 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
               maybeClearStale(line, gid); // Upgrade re-acquires the line.
           } else {
               privateFill(line, gid, kModified, false, t);
-              // privateFill does not touch dir ownership; re-assert it.
-              if (!drop_owner)
-                  dirEntry(line).owner = static_cast<std::int32_t>(gid);
           }
           if (mutation_ != TestMutation::kNone && line == mutationLine_ &&
               !staleFired_) {
@@ -684,19 +733,18 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
               memory_.readBytes(mutationLine_, armedBytes_.data(),
                                 kCacheLineBytes);
           }
-          stats_->counter("cs.dir.storeMisses").increment();
+          stat(Stat::kDirStoreMisses).increment();
           break;
       }
       case AccessType::kAtomic: {
           // Atomics execute at the home LLC slice; every private copy
           // (including the requester's) is recalled first.
-          Cycles acks = recallPrivate(line, hn, ht, t, true);
+          Cycles acks = recallPrivate(line, home, dir, t, 0);
           t = std::max(t, acks);
-          t = llcEnsureResident(line, hn, ht, t, from_dram);
-          DirEntry &d = dirEntry(line);
-          d.dirty = true;
+          t = llcEnsureResident(line, home, t, from_dram);
+          dirAt(home).dirty = true;
           t = nocPath(hn, ht, my_node, my_tile, kReqBytes + 8, t);
-          stats_->counter("cs.atomics").increment();
+          stat(Stat::kAtomics).increment();
           break;
       }
       default:
@@ -704,31 +752,19 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
     }
 
     ServiceLevel level;
+    Stat serviced;
     if (from_dram) {
-        level = addrNode(line) == my_node ? ServiceLevel::kDramLocal
-                                          : ServiceLevel::kDramRemote;
+        bool local = addrNode(line) == my_node;
+        level = local ? ServiceLevel::kDramLocal : ServiceLevel::kDramRemote;
+        serviced =
+            local ? Stat::kServicedDramLocal : Stat::kServicedDramRemote;
     } else {
-        level = hn == my_node ? ServiceLevel::kLlcLocal
-                              : ServiceLevel::kLlcRemote;
+        bool local = hn == my_node;
+        level = local ? ServiceLevel::kLlcLocal : ServiceLevel::kLlcRemote;
+        serviced = local ? Stat::kServicedLlcLocal : Stat::kServicedLlcRemote;
     }
-    switch (level) {
-      case ServiceLevel::kLlcLocal:
-        stats_->counter("cs.serviced.llcLocal").increment();
-        break;
-      case ServiceLevel::kLlcRemote:
-        stats_->counter("cs.serviced.llcRemote").increment();
-        break;
-      case ServiceLevel::kDramLocal:
-        stats_->counter("cs.serviced.dramLocal").increment();
-        break;
-      case ServiceLevel::kDramRemote:
-        stats_->counter("cs.serviced.dramRemote").increment();
-        break;
-      default:
-        break;
-    }
-    stats_->summaryStat("cs.missLatency").sample(
-        static_cast<double>(t - now));
+    stat(serviced).increment();
+    missLatencyStat().sample(static_cast<double>(t - now));
     if (traceCache_) {
         obs::TraceEvent ev =
             obs::event(type == AccessType::kAtomic
@@ -755,42 +791,6 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
     return AccessResult{t - now, level, crossed};
 }
 
-Cycles
-CoherentSystem::recallPrivateExcept(Addr line, NodeId hn, TileId ht, Cycles t,
-                                    GlobalTileId except)
-{
-    DirEntry &dir = dirEntry(line);
-    Cycles last_ack = t;
-
-    auto round_trip = [&](GlobalTileId g, std::uint32_t resp_bytes) {
-        Cycles tr = nocPath(hn, ht, nodeOf(g), tileOf(g), kReqBytes, t);
-        tr += timing_.privLatency;
-        tr = nocPath(nodeOf(g), tileOf(g), hn, ht, resp_bytes, tr);
-        last_ack = std::max(last_ack, tr);
-    };
-
-    if (dir.owner >= 0 &&
-        dir.owner != static_cast<std::int32_t>(except)) {
-        auto g = static_cast<GlobalTileId>(dir.owner);
-        round_trip(g, kDataBytes);
-        dir.dirty = true;
-        dropPrivate(line, g);
-        stats_->counter("cs.dir.ownerRecalls").increment();
-    }
-    std::uint64_t sharers = dir.sharers & ~(1ULL << except);
-    while (sharers) {
-        auto g = static_cast<GlobalTileId>(__builtin_ctzll(sharers));
-        sharers &= sharers - 1;
-        round_trip(g, kReqBytes);
-        if (shouldLoseInvalidation(line))
-            loseInvalidation(line, g);
-        else
-            dropPrivate(line, g);
-        stats_->counter("cs.dir.invalidations").increment();
-    }
-    return last_ack;
-}
-
 void
 CoherentSystem::flushPrivate(GlobalTileId gid)
 {
@@ -800,12 +800,14 @@ CoherentSystem::flushPrivate(GlobalTileId gid)
     bpc_[gid].forEachLine(
         [&](Addr line, std::uint32_t) { lines.push_back(line); });
     for (Addr line : lines) {
-        auto it = directory_.find(line);
-        if (it != directory_.end() &&
-            it->second.owner == static_cast<std::int32_t>(gid)) {
-            it->second.dirty = true; // Writeback lands in the home LLC.
-        }
+        HomeRef home = homeRef(line);
+        DirEntry *dir =
+            home.slot == CacheArray::kNoSlot ? nullptr : &dirAt(home);
+        if (dir && dir->owner == static_cast<std::int32_t>(gid))
+            dir->dirty = true; // Writeback lands in the home LLC.
         dropPrivate(line, gid);
+        if (dir)
+            forget(*dir, gid);
         notify(CoherenceEventKind::kFlush, line, gid, 0);
     }
 }
@@ -826,18 +828,18 @@ CoherentSystem::inspectLine(Addr addr) const
 {
     Addr line = lineAlign(addr);
     LineView v;
-    auto [hn, ht] = homeOf(line);
-    v.homeNode = hn;
-    v.homeTile = ht;
-    auto it = directory_.find(line);
-    if (it != directory_.end()) {
+    HomeRef home = homeRef(line);
+    v.homeNode = home.node;
+    v.homeTile = home.tile;
+    v.homeSliceHolds = home.slot != CacheArray::kNoSlot;
+    if (v.homeSliceHolds) {
+        const DirEntry &d = dirAt(home);
         v.hasDirEntry = true;
-        v.sharers = it->second.sharers;
-        v.owner = it->second.owner;
-        v.inLlc = it->second.inLlc;
-        v.dirty = it->second.dirty;
+        v.sharers = d.sharers;
+        v.owner = d.owner;
+        v.inLlc = d.inLlc;
+        v.dirty = d.dirty;
     }
-    v.homeSliceHolds = llc_[gidOf(hn, ht)].probe(line);
     v.tiles.resize(geo_.totalTiles());
     for (std::uint32_t g = 0; g < geo_.totalTiles(); ++g) {
         TileLineView &t = v.tiles[g];
@@ -859,16 +861,14 @@ CoherentSystem::flushCaches()
     for (auto &c : bpc_)
         c.flush();
     for (auto &c : llc_)
-        c.flush();
-    directory_.clear();
+        c.flush(); // Empties every slot, and with it the directory.
 }
 
 void
 CoherentSystem::forEachKnownLine(const std::function<void(Addr)> &fn) const
 {
+    // Directory entries live in LLC slots, so the arrays cover them.
     std::set<Addr> lines;
-    for (const auto &[line, dir] : directory_)
-        lines.insert(line);
     auto collect = [&](const CacheArray &arr) {
         arr.forEachLine(
             [&](Addr line, std::uint32_t) { lines.insert(line); });
@@ -907,26 +907,27 @@ CoherentSystem::checkDirectory() const
 {
     // Expected membership per tile from the directory.
     std::vector<std::set<Addr>> expected(geo_.totalTiles());
-    for (const auto &[line, dir] : directory_) {
+    bool ok = true;
+    forEachDirEntry([&](Addr line, const DirEntry &dir) {
         if (dir.owner >= 0) {
             // An owned line must have no other sharers.
             if ((dir.sharers & ~(1ULL << dir.owner)) != 0)
-                return false;
+                ok = false;
             expected[static_cast<std::size_t>(dir.owner)].insert(line);
         }
         std::uint64_t sharers = dir.sharers;
         while (sharers) {
             auto g = static_cast<GlobalTileId>(__builtin_ctzll(sharers));
             sharers &= sharers - 1;
-            if (dir.owner == static_cast<std::int32_t>(g)) {
-                continue;
-            }
-            expected[g].insert(line);
+            if (dir.owner != static_cast<std::int32_t>(g))
+                expected[g].insert(line);
         }
         // Private copies require LLC residency (inclusive hierarchy).
         if ((dir.sharers != 0 || dir.owner >= 0) && !dir.inLlc)
-            return false;
-    }
+            ok = false;
+    });
+    if (!ok)
+        return false;
 
     for (std::uint32_t g = 0; g < geo_.totalTiles(); ++g) {
         std::set<Addr> actual;
@@ -939,20 +940,33 @@ CoherentSystem::checkDirectory() const
 }
 
 void
+CoherentSystem::forEachDirEntry(
+    const std::function<void(Addr, const DirEntry &)> &fn) const
+{
+    for (GlobalTileId g = 0; g < geo_.totalTiles(); ++g) {
+        for (std::uint32_t slot = 0; slot < llcSlots_; ++slot) {
+            if (auto line = llc_[g].lineAt(slot))
+                fn(*line, dirAt(HomeRef{nodeOf(g), tileOf(g), g, slot}));
+        }
+    }
+}
+
+void
 CoherentSystem::saveState(snap::Writer &w) const
 {
     w.u32(geo_.nodes);
     w.u32(geo_.tilesPerNode);
 
-    // Directory, sorted by line so the payload is container-order free.
-    std::vector<Addr> lines;
-    lines.reserve(directory_.size());
-    for (const auto &[line, entry] : directory_)
-        lines.push_back(line);
-    std::sort(lines.begin(), lines.end());
-    w.u64(lines.size());
-    for (Addr line : lines) {
-        const DirEntry &d = directory_.at(line);
+    // Directory, collected from the LLC slots and sorted by line so the
+    // payload does not depend on where entries are kept.
+    std::vector<std::pair<Addr, DirEntry>> entries;
+    forEachDirEntry([&](Addr line, const DirEntry &d) {
+        entries.emplace_back(line, d);
+    });
+    std::sort(entries.begin(), entries.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    w.u64(entries.size());
+    for (const auto &[line, d] : entries) {
         w.u64(line);
         w.u64(d.sharers);
         w.u32(static_cast<std::uint32_t>(d.owner));
@@ -985,12 +999,16 @@ CoherentSystem::restoreState(snap::Reader &r)
                    "system's %ux%u",
                    nodes, tiles, geo_.nodes, geo_.tilesPerNode));
 
-    directory_.clear();
+    // The directory section precedes the arrays, so its entries are
+    // attached to their LLC slots once the slices are restored.
     std::uint64_t dir_count = r.u64();
-    directory_.reserve(dir_count);
-    for (std::uint64_t i = 0; i < dir_count; ++i) {
-        Addr line = r.u64();
-        DirEntry &d = directory_[line];
+    const std::size_t slots =
+        static_cast<std::size_t>(geo_.totalTiles()) * llcSlots_;
+    fatalIf(dir_count > slots,
+            "checkpoint directory has more entries than the LLC has slots");
+    std::vector<std::pair<Addr, DirEntry>> entries(dir_count);
+    for (auto &[line, d] : entries) {
+        line = r.u64();
         d.sharers = r.u64();
         d.owner = static_cast<std::int32_t>(r.u32());
         d.inLlc = r.boolean();
@@ -1010,6 +1028,29 @@ CoherentSystem::restoreState(snap::Reader &r)
         restoreShaper(r, bridgeIn_[n]);
         restoreShaper(r, pcieOut_[n]);
     }
+
+    // Inclusion makes entries and resident LLC lines a bijection; a
+    // checkpoint that breaks it cannot be represented and is rejected.
+    std::vector<bool> attached(slots, false);
+    for (const auto &[line, d] : entries) {
+        HomeRef home = homeRef(line);
+        fatalIf(home.slot == CacheArray::kNoSlot,
+                strfmt("checkpoint directory entry for line 0x%llx, which "
+                       "is absent from its home LLC slice",
+                       static_cast<unsigned long long>(line)));
+        std::size_t i =
+            static_cast<std::size_t>(home.gid) * llcSlots_ + home.slot;
+        fatalIf(attached[i],
+                strfmt("checkpoint directory lists line 0x%llx twice",
+                       static_cast<unsigned long long>(line)));
+        attached[i] = true;
+        dirAt(home) = d;
+    }
+    std::uint64_t resident = 0;
+    for (const CacheArray &slice : llc_)
+        resident += slice.occupancy();
+    fatalIf(dir_count != resident,
+            "checkpoint directory misses entries for resident LLC lines");
 }
 
 } // namespace smappic::cache

@@ -23,7 +23,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_array.hpp"
@@ -261,6 +260,11 @@ class NcDevice
  * Tiles are addressed by GlobalTileId = node * tilesPerNode + tile. The
  * class is deliberately single-threaded: callers (the guest-OS thread
  * scheduler, the RISC-V cores) serialize accesses in virtual-time order.
+ *
+ * Directory entries live beside the LLC, one per slot of the home slice
+ * (the inclusive LLC makes entries and resident lines a bijection), and
+ * the cs.* stats are reached through handles cached on first use; see
+ * INTERNALS "Miss-walk data layout".
  */
 class CoherentSystem
 {
@@ -369,8 +373,9 @@ class CoherentSystem
     LineView inspectLine(Addr addr) const;
 
     /**
-     * Invokes @p fn once per line known to any structure — directory
-     * entries, LLC slices and private arrays (full-system sweeps).
+     * Invokes @p fn once per line known to any structure — LLC slices
+     * (whose slots also hold the directory entries) and private arrays
+     * (full-system sweeps).
      */
     void forEachKnownLine(const std::function<void(Addr)> &fn) const;
 
@@ -462,17 +467,85 @@ class CoherentSystem
     void restoreState(snap::Reader &r);
 
   private:
-    // Short aliases for the public line states. LLC aux word bit 0 = dirty.
+    // Short aliases for the public line states.
     static constexpr std::uint32_t kShared = kLineShared;
     static constexpr std::uint32_t kModified = kLineModified;
 
+    /**
+     * Directory state of one line. Entries live in dir_, one per LLC
+     * slot: the LLC is inclusive and the directory precise, so a line
+     * has an entry exactly while it is resident in its home slice (see
+     * INTERNALS "Miss-walk data layout"). A non-resident line reads as
+     * kBlankDir. Trivially constructible, so dir_ can be left
+     * uninitialized: its pages are touched only as the LLC fills.
+     */
     struct DirEntry
     {
-        std::uint64_t sharers = 0; ///< Bit per global tile (S copies).
-        std::int32_t owner = -1;   ///< Global tile holding M, or -1.
-        bool inLlc = false;        ///< Data resident in the home slice.
-        bool dirty = false;        ///< LLC copy newer than DRAM.
+        std::uint64_t sharers; ///< Bit per global tile (S copies).
+        std::int32_t owner;    ///< Global tile holding M, or -1.
+        bool inLlc;            ///< Data resident in the home slice.
+        bool dirty;            ///< LLC copy newer than DRAM.
     };
+    static constexpr DirEntry kBlankDir{0, -1, false, false};
+
+    /** A line's home slice and its slot there, resolved once per miss. */
+    struct HomeRef
+    {
+        NodeId node;
+        TileId tile;
+        GlobalTileId gid;
+        std::uint32_t slot; ///< CacheArray::kNoSlot when not resident.
+    };
+
+    /** The cs.* counters, each resolved to a handle on first use. */
+    enum class Stat : std::uint8_t
+    {
+        kL1Hits,
+        kL1StoreHits,
+        kBpcHits,
+        kBpcMisses,
+        kBpcWritebacks,
+        kBpcCleanEvicts,
+        kBridgeCrossings,
+        kBridgeBytes,
+        kDramAccesses,
+        kDirOwnerRecalls,
+        kDirInvalidations,
+        kDirDowngrades,
+        kDirStoreMisses,
+        kLlcFills,
+        kLlcEvictions,
+        kLlcWritebacks,
+        kAtomics,
+        kDeviceLoads,
+        kDeviceStores,
+        kNcAccesses,
+        kCdrUncachedRemote,
+        kServicedLlcLocal,
+        kServicedLlcRemote,
+        kServicedDramLocal,
+        kServicedDramRemote,
+        kMutationLostInvalidations,
+        kMutationDroppedOwnerUpdates,
+        kCount,
+    };
+
+    /**
+     * The counter behind @p s. Serially it is a handle cached on first
+     * use: lazy, so a stat the run never touches stays out of the dump,
+     * and stable, because root-registry map nodes never move. While
+     * parallel_ is set every use looks the name up again so that phased
+     * writes land in the acting node's TLS shard (StatRegistry::Redirect).
+     */
+    sim::Counter &
+    stat(Stat s)
+    {
+        sim::Counter *c = statCache_[static_cast<std::size_t>(s)];
+        return (c != nullptr && !parallel_) ? *c : resolveStat(s);
+    }
+    sim::Counter &resolveStat(Stat s);
+    /** The "cs.missLatency" summary; same caching rules as stat(). */
+    sim::Summary &missLatencyStat();
 
     struct DeviceWindow
     {
@@ -488,6 +561,23 @@ class CoherentSystem
     }
     NodeId nodeOf(GlobalTileId gid) const { return gid / geo_.tilesPerNode; }
     TileId tileOf(GlobalTileId gid) const { return gid % geo_.tilesPerNode; }
+
+    /** Row/column of the hop tables for @p tile (off-chip is last). */
+    std::size_t hopIndex(TileId tile) const
+    {
+        return tile == noc::kOffChipTile ? geo_.tilesPerNode : tile;
+    }
+    /** MeshTopology::hops(), precomputed per tile pair. */
+    std::uint32_t hops(TileId from, TileId to) const
+    {
+        return hops_[hopIndex(from) * (geo_.tilesPerNode + 1) +
+                     hopIndex(to)];
+    }
+    /** MeshTopology::hopsToOffChip(), precomputed per tile. */
+    std::uint32_t hopsToOffChip(TileId tile) const
+    {
+        return hopsOffChip_[hopIndex(tile)];
+    }
 
     /**
      * Advances a message from (sn,st) to (dn,dt) starting at absolute time
@@ -505,29 +595,58 @@ class CoherentSystem
     /** DRAM access at @p node arriving at @p t; returns completion time. */
     Cycles dramAccess(NodeId node, std::uint32_t bytes, Cycles t);
 
-    /** Ensures the line is resident in its home LLC slice (fills on miss).
-     *  Returns completion time; sets @p from_dram. */
-    Cycles llcEnsureResident(Addr line, NodeId hn, TileId ht, Cycles t,
+    /** Resolves @p line's home slice and probes it once. */
+    HomeRef homeRef(Addr line) const;
+
+    /** Directory entry of a resident line. @pre h.slot != kNoSlot. */
+    DirEntry &dirAt(const HomeRef &h)
+    {
+        return dir_[static_cast<std::size_t>(h.gid) * llcSlots_ + h.slot];
+    }
+    const DirEntry &dirAt(const HomeRef &h) const
+    {
+        return dir_[static_cast<std::size_t>(h.gid) * llcSlots_ + h.slot];
+    }
+
+    /** Invokes @p fn(line, entry) for every resident LLC line. */
+    void forEachDirEntry(
+        const std::function<void(Addr, const DirEntry &)> &fn) const;
+
+    /**
+     * Ensures the line is resident in its home LLC slice (fills on miss,
+     * recalling the slice victim's private copies) and points
+     * @p home.slot at it with a valid directory entry. Returns completion
+     * time; sets @p from_dram.
+     */
+    Cycles llcEnsureResident(Addr line, HomeRef &home, Cycles t,
                              bool &from_dram);
 
-    /** Recalls every private copy of @p line (invalidation fan-out).
-     *  Returns the time the last ack reaches the home. */
-    Cycles recallPrivate(Addr line, NodeId hn, TileId ht, Cycles t,
-                         bool keep_data_in_llc);
+    /**
+     * Recalls every private copy of @p line recorded in @p dir except
+     * those of the tiles in @p keep (invalidation fan-out); an owner's
+     * dirty data lands in the LLC. Returns the time the last ack reaches
+     * the home.
+     */
+    Cycles recallPrivate(Addr line, const HomeRef &home, DirEntry &dir,
+                         Cycles t, std::uint64_t keep);
 
-    /** Like recallPrivate() but leaves @p except's copy untouched. */
-    Cycles recallPrivateExcept(Addr line, NodeId hn, TileId ht, Cycles t,
-                               GlobalTileId except);
-
-    /** Drops @p line from one tile's private hierarchy; updates directory. */
+    /** Drops @p line from one tile's private hierarchy (arrays only). */
     void dropPrivate(Addr line, GlobalTileId gid);
+
+    /** Removes @p gid from @p dir's sharers and ownership. */
+    static void forget(DirEntry &dir, GlobalTileId gid)
+    {
+        dir.sharers &= ~(1ULL << gid);
+        if (dir.owner == static_cast<std::int32_t>(gid))
+            dir.owner = -1;
+    }
 
     /**
      * Test-mutation path: "loses" @p gid's invalidation of @p line — the
      * directory forgets the copy but the tile's arrays keep it, and the
      * pre-store line image is frozen as the tile's stale view.
      */
-    void loseInvalidation(Addr line, GlobalTileId gid);
+    void loseInvalidation(DirEntry &dir, GlobalTileId gid);
 
     /** True when the mutated recall of @p line must be skipped. */
     bool shouldLoseInvalidation(Addr line) const
@@ -569,21 +688,30 @@ class CoherentSystem
                               Addr addr, AccessType type, std::uint32_t bytes,
                               Cycles now);
 
-    DirEntry &dirEntry(Addr line) { return directory_[line]; }
-
     Geometry geo_;
     TimingParams timing_;
     HomingPolicy homing_;
-    noc::MeshTopology topo_;
+
+    /** Hop counts per (from, to) tile pair, off-chip port last. */
+    std::vector<std::uint8_t> hops_;
+    /** Hop counts from each tile (and the off-chip port) off chip. */
+    std::vector<std::uint8_t> hopsOffChip_;
 
     mem::MainMemory memory_;
-    std::unordered_map<Addr, DirEntry> directory_;
 
     // Per-global-tile structures.
     std::vector<CacheArray> l1i_;
     std::vector<CacheArray> l1d_;
     std::vector<CacheArray> bpc_;
     std::vector<CacheArray> llc_;
+    /** Slots per LLC slice (every slice has the same geometry). */
+    std::uint32_t llcSlots_ = 0;
+    /**
+     * Directory entries, llcSlots_ per slice, at gid * llcSlots_ + slot.
+     * Only slots holding a line have a meaningful entry; an empty slot's
+     * entry is garbage until the fill that takes the slot writes it.
+     */
+    std::unique_ptr<DirEntry[]> dir_;
     std::vector<sim::QueueServer> llcServer_;
 
     // Per-node structures.
@@ -599,16 +727,10 @@ class CoherentSystem
     /** One lock per tile's private arrays; see tileGuard(). */
     std::unique_ptr<std::mutex[]> tileMu_;
 
-    /**
-     * Cached "cs.l1.hits" counter for the serial-mode fast path (map
-     * nodes are pointer-stable, and without Redirects counter() always
-     * resolves to the same node). Under the phased engine lookups must
-     * go through the registry every time to land in the acting node's
-     * TLS shard, so the cache is bypassed while parallel_ is set.
-     */
-    sim::Counter *l1HitsSerial_ = nullptr;
-    /** Cached "cs.l1.storeHits" counter; same rules as l1HitsSerial_. */
-    sim::Counter *l1StoreHitsSerial_ = nullptr;
+    /** Serial-mode stat handles; null until first use (see stat()). */
+    std::array<sim::Counter *, static_cast<std::size_t>(Stat::kCount)>
+        statCache_{};
+    sim::Summary *missLatencyCache_ = nullptr;
 
     CoherenceObserver *observer_ = nullptr;
 

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 
 #include "cache/cache_array.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
+#include "snap/state_io.hpp"
 
 namespace smappic::cache
 {
@@ -125,6 +129,68 @@ TEST(CacheArray, ForEachLineEnumerates)
         EXPECT_EQ(state, line / 64);
     });
     EXPECT_EQ(seen, inserted);
+}
+
+TEST(CacheArray, SlotsAreStableUntilEviction)
+{
+    CacheArray c(256, 4, 64); // One set, 4 ways.
+    ASSERT_EQ(c.slots(), 4u);
+    for (Addr a = 0; a < 4; ++a) {
+        std::uint32_t slot = CacheArray::kNoSlot;
+        c.insert(a * 256, 0, &slot);
+        EXPECT_EQ(slot, a);
+        EXPECT_EQ(c.slotOf(a * 256 + 8), a);
+        EXPECT_EQ(c.lineAt(slot), a * 256);
+    }
+    c.invalidate(256);
+    EXPECT_EQ(c.slotOf(256), CacheArray::kNoSlot);
+    EXPECT_FALSE(c.lineAt(1).has_value());
+
+    // A fill takes the first empty slot, then the LRU victim's slot.
+    std::uint32_t slot = CacheArray::kNoSlot;
+    EXPECT_FALSE(c.insert(4 * 256, 0, &slot).has_value());
+    EXPECT_EQ(slot, 1u);
+    c.lookup(0);
+    auto victim = c.insert(5 * 256, 0, &slot);
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_EQ(victim->line, 2 * 256u);
+    EXPECT_EQ(slot, 2u);
+    EXPECT_EQ(c.lineAt(2), 5 * 256u);
+}
+
+TEST(CacheArray, RestoreRejectsLineInTheWrongSet)
+{
+    // Two sets: line 0x40 belongs to set 1, never to slot 0 of set 0.
+    CacheArray src(256, 2, 64);
+    src.insert(0x00, 5);
+    std::ostringstream os;
+    snap::Writer w(os);
+    w.begin(snap::Section::kCache);
+    src.saveState(w);
+    w.end();
+    w.finish();
+    // Past the file and section headers (24 + 24 bytes) the payload
+    // holds geometry and clock (20 bytes), then slot 0's valid byte and
+    // line. Rewrite the payload with slot 0 holding a set-1 line.
+    std::string payload = os.str().substr(24 + 24);
+    const Addr misplaced = 0x40;
+    payload.replace(20 + 1, sizeof(misplaced),
+                    reinterpret_cast<const char *>(&misplaced),
+                    sizeof(misplaced));
+    std::ostringstream edited;
+    snap::Writer w2(edited);
+    w2.begin(snap::Section::kCache);
+    w2.bytes(payload.data(), payload.size());
+    w2.end();
+    w2.finish();
+
+    namespace fs = std::filesystem;
+    fs::path path = fs::path(::testing::TempDir()) / "cache_array_wrong_set";
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << edited.str();
+    snap::Reader r(path.string());
+    r.open(snap::Section::kCache);
+    CacheArray dst(256, 2, 64);
+    EXPECT_THROW(dst.restoreState(r), FatalError);
 }
 
 /** Property: occupancy never exceeds capacity; a hit after insert-without-

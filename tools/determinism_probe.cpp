@@ -20,6 +20,7 @@
  * across worker counts the same way (they are bit-identical by design).
  */
 
+#include <cerrno>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -114,34 +115,56 @@ fnv1a(std::uint64_t h, std::uint64_t v)
     return h;
 }
 
+int
+usage(const char *argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s <AxBxC> <threads> <quantum> [budget] "
+                 "[--trace <path>]\n",
+                 argv0);
+    return 2;
+}
+
+/** Strict numeric parse: rejects empty, trailing garbage and overflow
+ *  instead of silently reading them as 0. */
+bool
+parseU64Strict(const char *s, std::uint64_t &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(s, &end, 10);
+    if (end == s || *end != '\0' || errno == ERANGE) {
+        std::fprintf(stderr, "bad numeric value '%s'\n", s);
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 4) {
-        std::fprintf(stderr,
-                     "usage: %s <AxBxC> <threads> <quantum> [budget] "
-                     "[--trace <path>]\n",
-                     argv[0]);
-        return 2;
-    }
+    if (argc < 4)
+        return usage(argv[0]);
     const std::string spec = argv[1];
-    const std::uint32_t threads =
-        static_cast<std::uint32_t>(std::strtoul(argv[2], nullptr, 10));
-    const Cycles quantum = std::strtoull(argv[3], nullptr, 10);
+    std::uint64_t threads = 0;
+    Cycles quantum = 0;
+    if (!parseU64Strict(argv[2], threads) || threads == 0 ||
+        threads > UINT32_MAX || !parseU64Strict(argv[3], quantum))
+        return usage(argv[0]);
     std::uint64_t budget = 500'000;
     std::string trace_path;
     for (int i = 4; i < argc; ++i) {
         if (std::string(argv[i]) == "--trace" && i + 1 < argc) {
             trace_path = argv[++i];
-        } else {
-            budget = std::strtoull(argv[i], nullptr, 10);
+        } else if (!parseU64Strict(argv[i], budget)) {
+            return usage(argv[0]);
         }
     }
 
     PrototypeConfig cfg = PrototypeConfig::parse(spec);
-    cfg.parallel.threads = threads;
+    cfg.parallel.threads = static_cast<std::uint32_t>(threads);
     cfg.parallel.quantum = quantum;
     if (!trace_path.empty()) {
         cfg.trace.enabled = true;
