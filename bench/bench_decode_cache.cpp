@@ -4,7 +4,7 @@
  * per-core decoded-instruction cache on versus off, a self-modifying
  * code stress run, and the observability contract — stats dump, trace
  * binary and SMCK checkpoint must be byte-identical with the cache on
- * or off and across 1/2/4 phased workers.
+ * or off, on the sequential engine and across 1/2/4 phased workers.
  *
  * The speedup phase runs a Fig. 7-style compute kernel (node-local ALU
  * + load loop, no stores in the hot loop) on a sequential 1x1x2
@@ -19,14 +19,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
-#include "obs/trace_io.hpp"
 #include "platform/prototype.hpp"
+#include "support/identity.hpp"
 
 using namespace smappic;
 using platform::Prototype;
@@ -34,8 +30,6 @@ using platform::PrototypeConfig;
 
 namespace
 {
-
-namespace fs = std::filesystem;
 
 constexpr int kReps = 5;
 constexpr int kPasses = 5;
@@ -132,43 +126,6 @@ timeVariant(bool enabled)
     return out;
 }
 
-struct IdentityRun
-{
-    std::string stats;
-    std::string trace;
-    std::string snapshot;
-};
-
-/** The full observable surface of one phased run: stats dump, binary
- *  trace, and an SMCK checkpoint taken after the budget expires. */
-IdentityRun
-runIdentity(bool enabled, std::uint32_t threads, const fs::path &snapPath)
-{
-    PrototypeConfig cfg = PrototypeConfig::parse("2x1x2");
-    cfg.core.decodeCache.enabled = enabled;
-    cfg.parallel.threads = threads;
-    cfg.parallel.quantum = 63;
-    cfg.trace.enabled = true;
-    Prototype proto(cfg);
-    proto.loadSourceReplicated(kComputeSource);
-    proto.runCores({0, 1, 2, 3}, kIdentityBudget);
-
-    IdentityRun out;
-    std::ostringstream stats;
-    proto.stats().dump(stats);
-    out.stats = stats.str();
-    std::ostringstream trace;
-    obs::writeBinary(proto.tracer(), trace);
-    out.trace = trace.str();
-    proto.checkpoint(snapPath.string());
-    std::ifstream in(snapPath, std::ios::binary);
-    std::ostringstream snap;
-    snap << in.rdbuf();
-    out.snapshot = snap.str();
-    fs::remove(snapPath);
-    return out;
-}
-
 } // namespace
 
 int
@@ -219,26 +176,22 @@ main()
                     static_cast<unsigned long long>(smcInvalidations));
     }
 
-    // --- Byte-identity: on/off x 1/2/4 workers, one reference. ---
-    fs::path snapPath =
-        fs::temp_directory_path() / "bench_decode_cache_identity.smck";
-    IdentityRun ref = runIdentity(true, 1, snapPath);
-    bool statsIdentical = true;
-    bool traceIdentical = true;
-    bool snapIdentical = true;
-    for (bool enabled : {true, false}) {
-        for (std::uint32_t threads : {1u, 2u, 4u}) {
-            if (enabled && threads == 1)
-                continue; // The reference itself.
-            IdentityRun got = runIdentity(enabled, threads, snapPath);
-            statsIdentical = statsIdentical && got.stats == ref.stats;
-            traceIdentical = traceIdentical && got.trace == ref.trace;
-            snapIdentical = snapIdentical && got.snapshot == ref.snapshot;
-        }
-    }
+    // --- Byte-identity: sequential on/off, then phased on/off x 1/2/4
+    // workers against on at 1 worker. ---
+    test::fs::path dir = test::scratchDir("bench_decode_cache");
+    test::Verdict identity;
+    auto run = [&dir](bool enabled, std::uint32_t threads) {
+        PrototypeConfig cfg = test::engineConfig("2x1x2", threads);
+        cfg.core.decodeCache.enabled = enabled;
+        cfg.trace.enabled = true;
+        return test::runSurface(cfg, kComputeSource, kIdentityBudget, dir);
+    };
+    test::compareSequential(run, identity);
+    test::comparePhased(run, identity);
+    test::fs::remove_all(dir);
     std::printf("identity: stats %d trace %d snapshot %d\n",
-                statsIdentical ? 1 : 0, traceIdentical ? 1 : 0,
-                snapIdentical ? 1 : 0);
+                identity.stats ? 1 : 0, identity.trace ? 1 : 0,
+                identity.snapshot ? 1 : 0);
 
     std::printf("json: {\"speedup\": %.4f, \"on_mips\": %.3f, "
                 "\"off_mips\": %.3f, \"hit_rate\": %.4f, "
@@ -248,11 +201,11 @@ main()
                 bestSpeedup, onMips, offMips, hitRate,
                 smcOk ? "true" : "false",
                 static_cast<unsigned long long>(smcInvalidations),
-                statsIdentical ? "true" : "false",
-                traceIdentical ? "true" : "false",
-                snapIdentical ? "true" : "false");
+                identity.stats ? "true" : "false",
+                identity.trace ? "true" : "false",
+                identity.snapshot ? "true" : "false");
 
-    bool ok = smcOk && statsIdentical && traceIdentical && snapIdentical &&
+    bool ok = smcOk && identity.identical() &&
               bestSpeedup >= 1.0;
     return ok ? 0 : 1;
 }

@@ -3,8 +3,8 @@
  * L1D fast-path bench: steady-state load/store throughput with the data
  * fast path (PrototypeConfig::core.dataFastPath) on versus off, and the
  * observability contract — stats dump, trace binary and SMCK checkpoint
- * must be byte-identical with the fast path on or off and across 1/2/4
- * phased workers.
+ * must be byte-identical with the fast path on or off, on the
+ * sequential engine and across 1/2/4 phased workers.
  *
  * The speedup phase runs a memory-streaming kernel (read-modify-write
  * sweep over a few private cache lines — every access an L1D/BPC-M hit
@@ -21,14 +21,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
-#include "obs/trace_io.hpp"
 #include "platform/prototype.hpp"
+#include "support/identity.hpp"
 
 using namespace smappic;
 using platform::Prototype;
@@ -36,8 +32,6 @@ using platform::PrototypeConfig;
 
 namespace
 {
-
-namespace fs = std::filesystem;
 
 constexpr int kReps = 5;
 constexpr int kPasses = 7;
@@ -130,43 +124,6 @@ timeVariant(bool enabled)
     return out;
 }
 
-struct IdentityRun
-{
-    std::string stats;
-    std::string trace;
-    std::string snapshot;
-};
-
-/** The full observable surface of one phased run: stats dump, binary
- *  trace, and an SMCK checkpoint taken after the budget expires. */
-IdentityRun
-runIdentity(bool enabled, std::uint32_t threads, const fs::path &snapPath)
-{
-    PrototypeConfig cfg = PrototypeConfig::parse("2x1x2");
-    cfg.core.dataFastPath = enabled;
-    cfg.parallel.threads = threads;
-    cfg.parallel.quantum = 63;
-    cfg.trace.enabled = true;
-    Prototype proto(cfg);
-    proto.loadSourceReplicated(kStreamSource);
-    proto.runCores({0, 1, 2, 3}, kIdentityBudget);
-
-    IdentityRun out;
-    std::ostringstream stats;
-    proto.stats().dump(stats);
-    out.stats = stats.str();
-    std::ostringstream trace;
-    obs::writeBinary(proto.tracer(), trace);
-    out.trace = trace.str();
-    proto.checkpoint(snapPath.string());
-    std::ifstream in(snapPath, std::ios::binary);
-    std::ostringstream snap;
-    snap << in.rdbuf();
-    out.snapshot = snap.str();
-    fs::remove(snapPath);
-    return out;
-}
-
 } // namespace
 
 int
@@ -189,37 +146,33 @@ main()
                     pass, off.ms, on.ms, speedup);
     }
 
-    // --- Byte-identity: on/off x 1/2/4 workers, one reference. ---
-    fs::path snapPath =
-        fs::temp_directory_path() / "bench_l1d_fastpath_identity.smck";
-    IdentityRun ref = runIdentity(true, 1, snapPath);
-    bool statsIdentical = true;
-    bool traceIdentical = true;
-    bool snapIdentical = true;
-    for (bool enabled : {true, false}) {
-        for (std::uint32_t threads : {1u, 2u, 4u}) {
-            if (enabled && threads == 1)
-                continue; // The reference itself.
-            IdentityRun got = runIdentity(enabled, threads, snapPath);
-            statsIdentical = statsIdentical && got.stats == ref.stats;
-            traceIdentical = traceIdentical && got.trace == ref.trace;
-            snapIdentical = snapIdentical && got.snapshot == ref.snapshot;
-        }
-    }
+    // --- Byte-identity: sequential on/off, then phased on/off x 1/2/4
+    // workers against on at 1 worker. ---
+    test::fs::path dir = test::scratchDir("bench_l1d_fastpath");
+    test::Verdict identity;
+    auto run = [&dir](bool enabled, std::uint32_t threads) {
+        PrototypeConfig cfg = test::engineConfig("2x1x2", threads);
+        cfg.core.dataFastPath = enabled;
+        cfg.trace.enabled = true;
+        return test::runSurface(cfg, kStreamSource, kIdentityBudget, dir);
+    };
+    test::compareSequential(run, identity);
+    test::comparePhased(run, identity);
+    test::fs::remove_all(dir);
     std::printf("identity: stats %d trace %d snapshot %d\n",
-                statsIdentical ? 1 : 0, traceIdentical ? 1 : 0,
-                snapIdentical ? 1 : 0);
+                identity.stats ? 1 : 0, identity.trace ? 1 : 0,
+                identity.snapshot ? 1 : 0);
 
     std::printf("json: {\"speedup\": %.4f, \"on_mips\": %.3f, "
                 "\"off_mips\": %.3f, "
                 "\"identical_stats\": %s, \"identical_trace\": %s, "
                 "\"identical_snapshots\": %s}\n",
                 bestSpeedup, onMips, offMips,
-                statsIdentical ? "true" : "false",
-                traceIdentical ? "true" : "false",
-                snapIdentical ? "true" : "false");
+                identity.stats ? "true" : "false",
+                identity.trace ? "true" : "false",
+                identity.snapshot ? "true" : "false");
 
-    bool ok = statsIdentical && traceIdentical && snapIdentical &&
+    bool ok = identity.identical() &&
               bestSpeedup >= 1.0;
     return ok ? 0 : 1;
 }

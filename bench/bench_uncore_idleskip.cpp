@@ -25,15 +25,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
-#include "obs/trace_io.hpp"
 #include "platform/node_chipset.hpp"
 #include "platform/prototype.hpp"
+#include "support/identity.hpp"
 
 using namespace smappic;
 using platform::Prototype;
@@ -42,61 +38,10 @@ using platform::PrototypeConfig;
 namespace
 {
 
-namespace fs = std::filesystem;
-
 constexpr int kReps = 3;
 constexpr int kPasses = 5;
 constexpr std::uint64_t kBudget = 200'000;   // Instructions per core.
 constexpr std::uint64_t kIdentityBudget = 60'000;
-
-/**
- * Timer-driven WFI kernel. Hart 0 programs its mtimecmp, sleeps in wfi,
- * and counts wakeups in its interrupt handler, which re-arms the timer
- * until the target count is reached; the final wakeup redirects mepc to
- * the exit stub and disarms the timer. Every other hart exits at once,
- * so the run is one parked core waiting on a timer horizon — the case
- * the WFI fast-forward collapses. 20 wakeups, 8000 cycles apart.
- */
-constexpr const char *kWfiSource = R"(
-_start:
-    csrr t0, 0xf14       # mhartid
-    bnez t0, finish      # only hart 0 runs the timer loop
-    la t0, handler
-    csrw 0x305, t0       # mtvec
-    li t1, 0x80
-    csrw 0x304, t1       # mie.MTIE
-    csrr t2, 0x300
-    ori t2, t2, 8
-    csrw 0x300, t2       # mstatus.MIE
-    li s0, 0             # wakeups so far
-    li s1, 20            # target wakeups
-    li s2, 0x0200bff8    # CLINT mtime
-    li s3, 0x02004000    # CLINT mtimecmp[0]
-    li s4, 8000          # interval
-    ld t3, 0(s2)
-    add t3, t3, s4
-    sd t3, 0(s3)
-idle:
-    wfi
-    j idle
-handler:
-    addi s0, s0, 1
-    bge s0, s1, last
-    ld t3, 0(s2)
-    add t3, t3, s4
-    sd t3, 0(s3)
-    mret
-last:
-    la t3, finish
-    csrw 0x341, t3       # mepc = finish
-    li t3, -1
-    sd t3, 0(s3)         # disarm the timer
-    mret
-finish:
-    li a0, 0
-    li a7, 93
-    ecall
-)";
 
 struct VariantResult
 {
@@ -113,7 +58,7 @@ timeWfiVariant(bool enabled)
         PrototypeConfig cfg = PrototypeConfig::parse("1x1x2");
         cfg.uncore.idleSkip = enabled;
         Prototype proto(cfg);
-        proto.loadSourceReplicated(kWfiSource);
+        proto.loadSourceReplicated(test::kWfiTimerSource);
         auto t0 = std::chrono::steady_clock::now();
         proto.runCores({0, 1}, kBudget);
         auto t1 = std::chrono::steady_clock::now();
@@ -189,47 +134,6 @@ timeMeshVariant(bool enabled)
     return out;
 }
 
-struct IdentityRun
-{
-    std::string stats;
-    std::string trace;
-    std::string snapshot;
-};
-
-/** The full observable surface of one run: stats dump, binary trace,
- *  and an SMCK checkpoint taken after the run. threads == 0 selects the
- *  sequential engine; otherwise the phased engine with that many
- *  workers. */
-IdentityRun
-runIdentity(bool enabled, std::uint32_t threads, const fs::path &snapPath)
-{
-    PrototypeConfig cfg = PrototypeConfig::parse("2x1x2");
-    cfg.uncore.idleSkip = enabled;
-    if (threads > 0) {
-        cfg.parallel.threads = threads;
-        cfg.parallel.quantum = 63;
-    }
-    cfg.trace.enabled = true;
-    Prototype proto(cfg);
-    proto.loadSourceReplicated(kWfiSource);
-    proto.runCores({0, 1, 2, 3}, kIdentityBudget);
-
-    IdentityRun out;
-    std::ostringstream stats;
-    proto.stats().dump(stats);
-    out.stats = stats.str();
-    std::ostringstream trace;
-    obs::writeBinary(proto.tracer(), trace);
-    out.trace = trace.str();
-    proto.checkpoint(snapPath.string());
-    std::ifstream in(snapPath, std::ios::binary);
-    std::ostringstream snap;
-    snap << in.rdbuf();
-    out.snapshot = snap.str();
-    fs::remove(snapPath);
-    return out;
-}
-
 } // namespace
 
 int
@@ -259,46 +163,34 @@ main()
                     meshSpeedup);
     }
 
-    // --- Byte-identity: engine x knob x workers, two references. ---
-    fs::path snapPath =
-        fs::temp_directory_path() / "bench_uncore_idleskip_identity.smck";
-    bool statsIdentical = true;
-    bool traceIdentical = true;
-    bool snapIdentical = true;
-    // Sequential engine: skip on vs off.
-    {
-        IdentityRun ref = runIdentity(true, 0, snapPath);
-        IdentityRun got = runIdentity(false, 0, snapPath);
-        statsIdentical = statsIdentical && got.stats == ref.stats;
-        traceIdentical = traceIdentical && got.trace == ref.trace;
-        snapIdentical = snapIdentical && got.snapshot == ref.snapshot;
-    }
-    // Phased engine: skip on/off x 1/2/4 workers against one reference.
-    IdentityRun ref = runIdentity(true, 1, snapPath);
-    for (bool enabled : {true, false}) {
-        for (std::uint32_t threads : {1u, 2u, 4u}) {
-            if (enabled && threads == 1)
-                continue; // The reference itself.
-            IdentityRun got = runIdentity(enabled, threads, snapPath);
-            statsIdentical = statsIdentical && got.stats == ref.stats;
-            traceIdentical = traceIdentical && got.trace == ref.trace;
-            snapIdentical = snapIdentical && got.snapshot == ref.snapshot;
-        }
-    }
+    // --- Byte-identity: sequential on/off, then phased on/off x 1/2/4
+    // workers against on at 1 worker. ---
+    test::fs::path dir = test::scratchDir("bench_uncore_idleskip");
+    test::Verdict identity;
+    auto run = [&dir](bool enabled, std::uint32_t threads) {
+        PrototypeConfig cfg = test::engineConfig("2x1x2", threads);
+        cfg.uncore.idleSkip = enabled;
+        cfg.trace.enabled = true;
+        return test::runSurface(cfg, test::kWfiTimerSource,
+                                kIdentityBudget, dir);
+    };
+    test::compareSequential(run, identity);
+    test::comparePhased(run, identity);
+    test::fs::remove_all(dir);
     std::printf("identity: stats %d trace %d snapshot %d\n",
-                statsIdentical ? 1 : 0, traceIdentical ? 1 : 0,
-                snapIdentical ? 1 : 0);
+                identity.stats ? 1 : 0, identity.trace ? 1 : 0,
+                identity.snapshot ? 1 : 0);
 
     std::printf("json: {\"speedup\": %.4f, \"mesh_speedup\": %.4f, "
                 "\"on_mips\": %.3f, \"off_mips\": %.3f, "
                 "\"identical_stats\": %s, \"identical_trace\": %s, "
                 "\"identical_snapshots\": %s}\n",
                 bestSpeedup, bestMeshSpeedup, onMips, offMips,
-                statsIdentical ? "true" : "false",
-                traceIdentical ? "true" : "false",
-                snapIdentical ? "true" : "false");
+                identity.stats ? "true" : "false",
+                identity.trace ? "true" : "false",
+                identity.snapshot ? "true" : "false");
 
-    bool ok = statsIdentical && traceIdentical && snapIdentical &&
+    bool ok = identity.identical() &&
               bestSpeedup >= 2.0 && bestMeshSpeedup >= 1.0;
     return ok ? 0 : 1;
 }

@@ -334,12 +334,8 @@ reproCommand(const FuzzConfig &cfg)
     if (cfg.threads >= 1)
         os << " --threads " << cfg.threads << " --quantum "
            << cfg.quantum;
-    if (!cfg.decodeCache)
-        os << " --no-decode-cache";
-    if (!cfg.dataFastPath)
-        os << " --no-data-fastpath";
-    if (!cfg.idleSkip)
-        os << " --no-idle-skip";
+    if (cfg.reference)
+        os << " --reference";
     if (cfg.defect == riscv::CoreTestMutation::kMulhCorrupt)
         os << " --defect mulh";
     else if (cfg.defect == riscv::CoreTestMutation::kStaleDecode)
@@ -403,9 +399,8 @@ runFuzz(const FuzzConfig &cfg)
 {
     platform::PrototypeConfig pcfg =
         platform::PrototypeConfig::parse(cfg.spec);
-    pcfg.core.decodeCache.enabled = cfg.decodeCache;
-    pcfg.core.dataFastPath = cfg.dataFastPath;
-    pcfg.uncore.idleSkip = cfg.idleSkip;
+    if (cfg.reference)
+        pcfg.disableFastPaths();
     pcfg.lockstep.enabled = true;
     if (cfg.shared)
         pcfg.lockstep.shared.emplace_back(kSharedBase, kSharedBytes);

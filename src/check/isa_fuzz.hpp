@@ -60,9 +60,8 @@ struct FuzzConfig
     bool shared = false;   ///< Sprinkle cross-hart shared-line accesses.
     std::uint32_t threads = 0; ///< 0 = sequential engine; >=1 = phased.
     Cycles quantum = 256;      ///< Phased quantum (threads >= 1 only).
-    bool decodeCache = true;
-    bool dataFastPath = true; ///< L1D hit fast path (core.dataFastPath).
-    bool idleSkip = true;     ///< Uncore idle skip (uncore.idleSkip).
+    /** Every host-only fast path off (PrototypeConfig::disableFastPaths). */
+    bool reference = false;
     riscv::CoreTestMutation defect = riscv::CoreTestMutation::kNone;
 };
 

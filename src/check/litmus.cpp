@@ -133,6 +133,20 @@ LitmusResult::histogram() const
     return os.str();
 }
 
+std::string
+reproCommand(const LitmusConfig &cfg)
+{
+    std::ostringstream os;
+    os << "litmus_run --litmus --spec " << cfg.spec << " --seed "
+       << cfg.seed << " --iters " << cfg.iterations;
+    if (cfg.parallel.threads > 1 || cfg.parallel.quantum > 0)
+        os << " --threads " << cfg.parallel.threads << " --quantum "
+           << cfg.parallel.quantum;
+    if (cfg.reference)
+        os << " --reference";
+    return os.str();
+}
+
 LitmusResult
 runLitmus(const LitmusTest &test, const LitmusConfig &cfg)
 {
@@ -140,8 +154,8 @@ runLitmus(const LitmusTest &test, const LitmusConfig &cfg)
         platform::PrototypeConfig::parse(cfg.spec);
     pcfg.parallel = cfg.parallel;
     pcfg.check = cfg.check;
-    pcfg.core.dataFastPath = cfg.dataFastPath;
-    pcfg.uncore.idleSkip = cfg.idleSkip;
+    if (cfg.reference)
+        pcfg.disableFastPaths();
 
     std::vector<GlobalTileId> harts =
         litmusPlacement(pcfg, test.threads.size());

@@ -78,12 +78,10 @@ struct LitmusConfig
     std::vector<std::uint32_t> fixedSkews;
     /** Checker attachment for every iteration's prototype. */
     CheckConfig check{true, false, 64};
-    /** L1D hit fast path (core.dataFastPath). Note an attached checker
-     *  makes the fast path bail anyway; disable `check` to genuinely
-     *  exercise it. */
-    bool dataFastPath = true;
-    /** Uncore event-horizon idle skip (uncore.idleSkip). */
-    bool idleSkip = true;
+    /** Every host-only fast path off (PrototypeConfig::
+     *  disableFastPaths). Note an attached checker makes the L1D fast
+     *  path bail anyway; disable `check` to genuinely exercise it. */
+    bool reference = false;
     std::uint64_t maxInstructions = 200'000;
     /** Runs after program load, before the cores start (arm mutations,
      *  warm caches, ...). */
@@ -125,6 +123,10 @@ std::string emitLitmusAsm(const LitmusTest &test,
  */
 std::vector<GlobalTileId> litmusPlacement(const platform::PrototypeConfig &,
                                           std::size_t threads);
+
+/** Renders the `litmus_run --litmus` command line that re-runs the
+ *  standard suite under @p cfg. */
+std::string reproCommand(const LitmusConfig &cfg);
 
 /** Runs @p test under @p cfg; see LitmusResult. */
 LitmusResult runLitmus(const LitmusTest &test, const LitmusConfig &cfg);

@@ -12,6 +12,8 @@ namespace
 
 constexpr std::uint32_t kSlotsPerLine = kCacheLineBytes / 8;
 
+} // namespace
+
 std::string
 reproCommand(const TortureConfig &cfg)
 {
@@ -22,10 +24,10 @@ reproCommand(const TortureConfig &cfg)
     if (cfg.parallel.threads > 1 || cfg.parallel.quantum > 0)
         os << " --threads " << cfg.parallel.threads << " --quantum "
            << cfg.parallel.quantum;
+    if (cfg.reliability.enabled)
+        os << " --faulty";
     return os.str();
 }
-
-} // namespace
 
 TortureProgram
 generateTorture(const TortureConfig &cfg)

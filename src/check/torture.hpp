@@ -84,6 +84,12 @@ struct TortureProgram
  *  seed, opsPerCore, sharedLines and the spec's hart count). */
 TortureProgram generateTorture(const TortureConfig &cfg);
 
+/** Renders the `litmus_run --torture` command line reproducing @p cfg.
+ *  The reliable link is on only under `litmus_run --faulty`, so a
+ *  config with it on prints `--faulty`, which reproduces litmus_run's
+ *  own fault plan (no other plan is expressible there). */
+std::string reproCommand(const TortureConfig &cfg);
+
 /** Runs one torture config to a verdict. */
 TortureReport runTorture(const TortureConfig &cfg);
 

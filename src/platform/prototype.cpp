@@ -181,6 +181,14 @@ PrototypeConfig::parse(const std::string &spec)
     return cfg;
 }
 
+void
+PrototypeConfig::disableFastPaths()
+{
+    core.decodeCache.enabled = false;
+    core.dataFastPath = false;
+    uncore.idleSkip = false;
+}
+
 std::string
 PrototypeConfig::name() const
 {
@@ -1234,10 +1242,10 @@ Prototype::configFingerprint() const
 {
     // FNV-1a over the fields that shape serialized state. A checkpoint
     // from a differently shaped prototype must be rejected up front;
-    // the worker-thread count is excluded on purpose, as are
-    // core.decodeCache, core.dataFastPath and uncore.idleSkip
-    // (transient, checkpoint-invisible state — any setting must accept
-    // any setting's checkpoints).
+    // the worker-thread count is excluded on purpose, as is every
+    // host-only fast path that PrototypeConfig::disableFastPaths()
+    // turns off (transient, checkpoint-invisible state — any setting
+    // must accept any setting's checkpoints).
     std::uint64_t h = 0xcbf29ce484222325ULL;
     auto mix = [&h](std::uint64_t v) {
         for (int i = 0; i < 8; ++i) {

@@ -175,6 +175,14 @@ struct PrototypeConfig
     /** Parses "AxBxC" (e.g. "4x1x12"). @throws FatalError on bad input. */
     static PrototypeConfig parse(const std::string &spec);
 
+    /**
+     * Turns off every host-only fast path (core.decodeCache,
+     * core.dataFastPath, uncore.idleSkip), leaving the reference path
+     * each of them must replicate byte for byte. This is the one place
+     * that lists the knobs: a new knob adds a line here.
+     */
+    void disableFastPaths();
+
     std::uint32_t totalNodes() const { return fpgas * nodesPerFpga; }
     std::uint32_t totalTiles() const
     {

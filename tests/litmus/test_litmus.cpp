@@ -77,9 +77,10 @@ TEST_P(LitmusEngines, StandardSuiteStaysWithinAllowedOutcomes)
 INSTANTIATE_TEST_SUITE_P(Engines, LitmusEngines,
                          ::testing::Values(0, 1, 2, 4));
 
-/** SB/MP/IRIW with the L1D fast path forced on AND off, sequential and
- *  phased at 2/4 workers: deterministic seeds mean every pairing must
- *  observe the identical outcome sequence — and both must pass. The
+/** SB/MP/IRIW with the fast paths on and in the reference run (every
+ *  host-only fast path off, the L1D fast path among them), sequential
+ *  and phased at 2/4 workers: deterministic seeds mean every pairing
+ *  must observe the identical outcome sequence — and both must pass. The
  *  checker is detached for these runs; an attached observer makes the
  *  fast path bail everywhere, which would compare the slow path against
  *  itself. The sequential comparison uses the cross-node 2x1x2 spec;
@@ -107,9 +108,8 @@ TEST(Litmus, DataFastPathOnAndOffObserveIdenticalOutcomes)
                 cfg.parallel.quantum = 63;
             }
 
-            cfg.dataFastPath = true;
             LitmusResult on = runLitmus(t, cfg);
-            cfg.dataFastPath = false;
+            cfg.reference = true;
             LitmusResult off = runLitmus(t, cfg);
 
             EXPECT_TRUE(on.passed) << t.name << " fastpath on, "
@@ -137,6 +137,20 @@ mutationConfig()
     cfg.iterations = 2;
     cfg.fixedSkews = {40, 0}; // thread 0 = writer (late), 1 = reader
     return cfg;
+}
+
+TEST(Litmus, ReproCommandRoundTrips)
+{
+    LitmusConfig cfg;
+    cfg.seed = 91;
+    EXPECT_EQ(reproCommand(cfg),
+              "litmus_run --litmus --spec 2x1x2 --seed 91 --iters 8");
+    cfg.parallel.threads = 2;
+    cfg.parallel.quantum = 100;
+    cfg.reference = true;
+    EXPECT_EQ(reproCommand(cfg),
+              "litmus_run --litmus --spec 2x1x2 --seed 91 --iters 8 "
+              "--threads 2 --quantum 100 --reference");
 }
 
 TEST(Litmus, MutationCatchTestPassesOnUnmutatedPlatform)

@@ -4,54 +4,29 @@
  * flush / write-stamp invalidation), self-modifying-code correctness
  * through a hart's own store port and through a second hart over the
  * coherent path — under the sequential and phased engines at 1/2/4
- * workers — and the observability contract: stats, traces and SMCK
- * checkpoints are byte-identical with the cache on or off, checkpoints
- * interchange freely between on and off, and restore leaves no stale
- * decoded state behind.
+ * workers — and that restore leaves no stale decoded state behind. The
+ * on/off identity of stats, traces and checkpoints is the decodeCache
+ * row of tests/test_fastpath_identity.cpp.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "obs/trace_io.hpp"
 #include "platform/prototype.hpp"
 #include "riscv/decode_cache.hpp"
 #include "riscv/isa.hpp"
 #include "sim/log.hpp"
 #include "snap/snapshot.hpp"
+#include "support/identity.hpp"
 
 namespace smappic
 {
 namespace
 {
-
-namespace fs = std::filesystem;
-
-fs::path
-scratchDir(const std::string &name)
-{
-    fs::path dir = fs::path(::testing::TempDir()) / ("dcache_" + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
-
-std::vector<std::uint8_t>
-slurp(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    EXPECT_TRUE(is.good()) << path;
-    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(is),
-                                     std::istreambuf_iterator<char>());
-}
 
 // ------------------------------------------------------- the container
 
@@ -223,11 +198,8 @@ w_delay:
 platform::PrototypeConfig
 smcConfig(bool cacheOn, std::uint32_t threads)
 {
-    platform::PrototypeConfig cfg = platform::PrototypeConfig::parse("1x1x2");
+    platform::PrototypeConfig cfg = test::engineConfig("1x1x2", threads);
     cfg.core.decodeCache.enabled = cacheOn;
-    cfg.parallel.threads = threads;
-    if (threads > 0)
-        cfg.parallel.quantum = 63; // threads == 0: sequential engine.
     return cfg;
 }
 
@@ -252,9 +224,7 @@ TEST(DecodeCacheSmc, OwnStoreStatsMatchCacheOff)
         platform::Prototype proto(smcConfig(cacheOn, 0));
         proto.loadSource(kOwnStoreSmc);
         proto.runCores({0}, 100'000);
-        std::ostringstream os;
-        proto.stats().dump(os);
-        return os.str();
+        return test::statsDump(proto);
     };
     EXPECT_EQ(dumpFor(true), dumpFor(false));
 }
@@ -280,9 +250,7 @@ TEST(DecodeCacheSmc, BypassHeavyLoopStatsMatchCacheOff)
         proto.runCores({0}, 40'000);
         if (cacheOn)
             bypasses = proto.core(0).decodeCache().stats().bypasses;
-        std::ostringstream os;
-        proto.stats().dump(os);
-        return os.str();
+        return test::statsDump(proto);
     };
     EXPECT_EQ(dumpFor(true), dumpFor(false));
     EXPECT_GT(bypasses, 0u)
@@ -304,130 +272,7 @@ TEST(DecodeCacheSmc, CrossHartPatchIsObserved)
     }
 }
 
-// --------------------------------------------- the observable surface
-
-/** Budget-bounded workload mixing ALU work, loads and stores (the
- *  stores keep the page-stamp machinery busy on the data page). */
-constexpr const char *kMixSource = R"(
-_start:
-    csrr t0, 0xf14
-    andi t0, t0, 3
-    slli t0, t0, 3
-    la t1, buf
-    add t1, t1, t0
-    li t2, 0
-loop:
-    ld t3, 0(t1)
-    add t3, t3, t2
-    sd t3, 0(t1)
-    xor t2, t2, t3
-    andi t2, t2, 2047
-    addi t2, t2, 1
-    j loop
-
-.data
-.align 3
-buf: .dword 1
-     .dword 2
-     .dword 3
-     .dword 4
-)";
-
-struct Surface
-{
-    std::string stats;
-    std::string trace;
-    std::string snapshot;
-};
-
-Surface
-runSurface(bool cacheOn, std::uint32_t threads, const fs::path &dir)
-{
-    platform::PrototypeConfig cfg = platform::PrototypeConfig::parse("2x1x2");
-    cfg.core.decodeCache.enabled = cacheOn;
-    cfg.parallel.threads = threads;
-    cfg.parallel.quantum = 63;
-    cfg.trace.enabled = true;
-    platform::Prototype proto(cfg);
-    proto.loadSourceReplicated(kMixSource);
-    proto.runCores({0, 1, 2, 3}, 20'000);
-
-    Surface out;
-    std::ostringstream stats;
-    proto.stats().dump(stats);
-    out.stats = stats.str();
-    std::ostringstream trace;
-    obs::writeBinary(proto.tracer(), trace);
-    out.trace = trace.str();
-    std::string snap = (dir / "surface.smck").string();
-    proto.checkpoint(snap);
-    auto bytes = slurp(snap);
-    out.snapshot.assign(bytes.begin(), bytes.end());
-    return out;
-}
-
-TEST(DecodeCacheIdentity, StatsTraceAndCheckpointMatchCacheOffAcrossWorkers)
-{
-    fs::path dir = scratchDir("surface");
-    Surface ref = runSurface(true, 1, dir);
-    EXPECT_FALSE(ref.stats.empty());
-    EXPECT_FALSE(ref.trace.empty());
-    EXPECT_FALSE(ref.snapshot.empty());
-    for (bool cacheOn : {true, false}) {
-        for (std::uint32_t threads : {1u, 2u, 4u}) {
-            if (cacheOn && threads == 1)
-                continue; // The reference itself.
-            Surface got = runSurface(cacheOn, threads, dir);
-            EXPECT_EQ(got.stats, ref.stats)
-                << "cache " << cacheOn << ", " << threads << " workers";
-            EXPECT_EQ(got.trace == ref.trace, true)
-                << "cache " << cacheOn << ", " << threads << " workers";
-            EXPECT_EQ(got.snapshot == ref.snapshot, true)
-                << "cache " << cacheOn << ", " << threads << " workers";
-        }
-    }
-}
-
-platform::PrototypeConfig
-resumeConfig(bool cacheOn, const std::string &dir)
-{
-    platform::PrototypeConfig cfg = platform::PrototypeConfig::parse("2x1x2");
-    cfg.core.decodeCache.enabled = cacheOn;
-    cfg.parallel.threads = 2;
-    cfg.parallel.quantum = 63;
-    cfg.snapshot.interval = 4000;
-    cfg.snapshot.dir = dir;
-    cfg.snapshot.keep = 0;
-    return cfg;
-}
-
-TEST(DecodeCacheIdentity, CheckpointsInterchangeBetweenOnAndOff)
-{
-    // A cache-on run's mid-run checkpoint restores into a cache-off
-    // prototype (and the final states match byte for byte): the decode
-    // cache is transient state outside the checkpoint and outside the
-    // config fingerprint.
-    fs::path dir_a = scratchDir("interchange_a");
-    fs::path dir_b = scratchDir("interchange_b");
-
-    platform::Prototype a(resumeConfig(true, dir_a.string()));
-    a.loadSourceReplicated(kMixSource);
-    a.runCores({0, 1, 2, 3}, 30'000);
-    std::string final_a = (dir_a / "final.smck").string();
-    a.checkpoint(final_a);
-
-    auto mids = snap::listCheckpoints(dir_a.string());
-    ASSERT_GE(mids.size(), 2u) << "workload too short to checkpoint";
-
-    platform::Prototype b(resumeConfig(false, dir_b.string()));
-    b.loadSourceReplicated(kMixSource);
-    b.restore(mids[mids.size() / 2]);
-    b.runCores({0, 1, 2, 3}, 30'000);
-    std::string final_b = (dir_b / "final.smck").string();
-    b.checkpoint(final_b);
-
-    EXPECT_EQ(slurp(final_a), slurp(final_b));
-}
+// ------------------------------------------------------------- restore
 
 TEST(DecodeCacheIdentity, RestoreDropsDecodesOfTheOverwrittenImage)
 {
@@ -435,26 +280,26 @@ TEST(DecodeCacheIdentity, RestoreDropsDecodesOfTheOverwrittenImage)
     // checkpoint of a *different* program into it: the cores must run
     // the restored image's instructions, not stale decodes of the old
     // one at the same PCs.
-    fs::path dir_ref = scratchDir("restore_ref");
-    fs::path dir_got = scratchDir("restore_got");
+    test::fs::path dir_ref = test::scratchDir("ref");
+    test::fs::path dir_got = test::scratchDir("got");
 
-    platform::Prototype ref(resumeConfig(true, dir_ref.string()));
+    platform::Prototype ref(test::resumeConfig(dir_ref, 4000));
     ref.loadSource(kOwnStoreSmc);
     ref.runCores({0}, 30'000);
-    std::string final_ref = (dir_ref / "final.smck").string();
-    ref.checkpoint(final_ref);
+    test::fs::path final_ref = dir_ref / "final.smck";
+    ref.checkpoint(final_ref.string());
     auto mids = snap::listCheckpoints(dir_ref.string());
     ASSERT_GE(mids.size(), 2u);
 
-    platform::Prototype got(resumeConfig(true, dir_got.string()));
-    got.loadSource(kMixSource); // Different code at the same PCs.
-    got.runCores({0}, 20'000);  // Warm its decode cache.
+    platform::Prototype got(test::resumeConfig(dir_got, 4000));
+    got.loadSource(test::kDecodeMixSource); // Other code, same PCs.
+    got.runCores({0}, 20'000);              // Warm its decode cache.
     got.restore(mids[mids.size() / 2]);
     got.runCores({0}, 30'000);
-    std::string final_got = (dir_got / "final.smck").string();
-    got.checkpoint(final_got);
+    test::fs::path final_got = dir_got / "final.smck";
+    got.checkpoint(final_got.string());
 
-    EXPECT_EQ(slurp(final_ref), slurp(final_got));
+    EXPECT_EQ(test::slurp(final_ref) == test::slurp(final_got), true);
     ASSERT_TRUE(got.core(0).exited());
     EXPECT_EQ(got.core(0).exitCode(), kOwnStoreExit);
 }

@@ -3,18 +3,15 @@
  * Uncore idle-skip tests: the event-horizon queries every skip decision
  * rests on, the active-router mesh worklist against the reference
  * full-sweep tick, the sequential engine's parked-core bookkeeping, and
- * the replicate-or-change-nothing contract — stats, traces and SMCK
- * checkpoints byte-identical with uncore.idleSkip on or off, for the
- * sequential and phased engines at 1/2/4 workers, including runs where
- * the watchdog and periodic checkpoints are live at skipped barriers.
+ * the replicate-or-change-nothing contract where the watchdog, periodic
+ * checkpoints and the idle-epoch give-up are live at skipped barriers.
+ * The on/off identity of stats, traces and checkpoints across engines
+ * and workers is the idleSkip row of tests/test_fastpath_identity.cpp.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,31 +25,12 @@
 #include "sim/random.hpp"
 #include "sim/watchdog.hpp"
 #include "snap/snapshot.hpp"
+#include "support/identity.hpp"
 
 namespace smappic
 {
 namespace
 {
-
-namespace fs = std::filesystem;
-
-fs::path
-scratchDir(const std::string &name)
-{
-    fs::path dir = fs::path(::testing::TempDir()) / ("idleskip_" + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
-
-std::vector<std::uint8_t>
-slurp(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    EXPECT_TRUE(is.good()) << path;
-    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(is),
-                                     std::istreambuf_iterator<char>());
-}
 
 // ------------------------------------------------- horizon queries
 
@@ -315,121 +293,13 @@ INSTANTIATE_TEST_SUITE_P(OnAndOff, IdleSkipSequential,
 
 // -------------------------------------- replicate-or-change-nothing
 
-/** Timer-driven WFI workload exercising every skip site: hart 0 sleeps
- *  between CLINT timer interrupts (20 wakeups, 8000 cycles apart), all
- *  other harts exit immediately — so sequential runs sit in the
- *  waitForWake() horizon loop and phased runs cross long runs of idle
- *  barriers. */
-constexpr const char *kWfiTimerSource = R"(
-_start:
-    csrr t0, 0xf14
-    bnez t0, finish
-    la t0, handler
-    csrw 0x305, t0
-    li t1, 0x80
-    csrw 0x304, t1
-    csrr t2, 0x300
-    ori t2, t2, 8
-    csrw 0x300, t2
-    li s0, 0
-    li s1, 20
-    li s2, 0x0200bff8
-    li s3, 0x02004000
-    li s4, 8000
-    ld t3, 0(s2)
-    add t3, t3, s4
-    sd t3, 0(s3)
-idle:
-    wfi
-    j idle
-handler:
-    addi s0, s0, 1
-    bge s0, s1, last
-    ld t3, 0(s2)
-    add t3, t3, s4
-    sd t3, 0(s3)
-    mret
-last:
-    la t3, finish
-    csrw 0x341, t3
-    li t3, -1
-    sd t3, 0(s3)
-    mret
-finish:
-    li a0, 0
-    li a7, 93
-    ecall
-)";
-
-struct Surface
+/** Phased 2x1x2 with two workers and the skip on or off. */
+platform::PrototypeConfig
+phasedConfig(bool idleSkip)
 {
-    std::string stats;
-    std::string trace;
-    std::string snapshot;
-};
-
-/** The full observable surface of one run. threads == 0 selects the
- *  sequential engine; otherwise the phased engine with that many
- *  workers. */
-Surface
-runSurface(bool idleSkip, std::uint32_t threads, const fs::path &dir)
-{
-    platform::PrototypeConfig cfg = platform::PrototypeConfig::parse("2x1x2");
+    platform::PrototypeConfig cfg = test::engineConfig("2x1x2", 2);
     cfg.uncore.idleSkip = idleSkip;
-    if (threads > 0) {
-        cfg.parallel.threads = threads;
-        cfg.parallel.quantum = 63;
-    }
-    cfg.trace.enabled = true;
-    platform::Prototype proto(cfg);
-    proto.loadSourceReplicated(kWfiTimerSource);
-    proto.runCores({0, 1, 2, 3}, 60'000);
-
-    Surface out;
-    std::ostringstream stats;
-    proto.stats().dump(stats);
-    out.stats = stats.str();
-    std::ostringstream trace;
-    obs::writeBinary(proto.tracer(), trace);
-    out.trace = trace.str();
-    std::string snap = (dir / "surface.smck").string();
-    proto.checkpoint(snap);
-    auto bytes = slurp(snap);
-    out.snapshot.assign(bytes.begin(), bytes.end());
-    return out;
-}
-
-TEST(IdleSkipIdentity, SequentialStatsTraceAndCheckpointMatchOff)
-{
-    fs::path dir = scratchDir("seq");
-    Surface on = runSurface(true, 0, dir);
-    Surface off = runSurface(false, 0, dir);
-    EXPECT_FALSE(on.stats.empty());
-    EXPECT_EQ(on.stats, off.stats);
-    EXPECT_EQ(on.trace == off.trace, true);
-    EXPECT_EQ(on.snapshot == off.snapshot, true);
-}
-
-TEST(IdleSkipIdentity, PhasedStatsTraceAndCheckpointMatchOffAcrossWorkers)
-{
-    fs::path dir = scratchDir("phased");
-    Surface ref = runSurface(true, 1, dir);
-    EXPECT_FALSE(ref.stats.empty());
-    EXPECT_FALSE(ref.trace.empty());
-    EXPECT_FALSE(ref.snapshot.empty());
-    for (bool idleSkip : {true, false}) {
-        for (std::uint32_t threads : {1u, 2u, 4u}) {
-            if (idleSkip && threads == 1)
-                continue; // The reference itself.
-            Surface got = runSurface(idleSkip, threads, dir);
-            EXPECT_EQ(got.stats, ref.stats)
-                << "idleSkip " << idleSkip << ", " << threads << " workers";
-            EXPECT_EQ(got.trace == ref.trace, true)
-                << "idleSkip " << idleSkip << ", " << threads << " workers";
-            EXPECT_EQ(got.snapshot == ref.snapshot, true)
-                << "idleSkip " << idleSkip << ", " << threads << " workers";
-        }
-    }
+    return cfg;
 }
 
 /** The skip must see the watchdog's deadline: a live node whose only
@@ -440,20 +310,14 @@ TEST(IdleSkipIdentity, PhasedStatsTraceAndCheckpointMatchOffAcrossWorkers)
 TEST(IdleSkipIdentity, WatchdogVerdictsMatchOff)
 {
     auto dumpFor = [](bool idleSkip) {
-        platform::PrototypeConfig cfg =
-            platform::PrototypeConfig::parse("2x1x2");
-        cfg.uncore.idleSkip = idleSkip;
-        cfg.parallel.threads = 2;
-        cfg.parallel.quantum = 63;
+        platform::PrototypeConfig cfg = phasedConfig(idleSkip);
         cfg.watchdog.stallCycles = 4000;
         cfg.watchdog.action = sim::WatchdogAction::kReport;
         platform::Prototype proto(cfg);
-        proto.loadSourceReplicated(kWfiTimerSource);
+        proto.loadSourceReplicated(test::kWfiTimerSource);
         proto.runCores({0, 1, 2, 3}, 60'000);
-        std::ostringstream os;
-        proto.stats().dump(os);
         return std::make_pair(
-            os.str(),
+            test::statsDump(proto),
             proto.stats().counterValue("watchdog.stallsDetected"));
     };
     auto on = dumpFor(true);
@@ -468,69 +332,24 @@ TEST(IdleSkipIdentity, WatchdogVerdictsMatchOff)
  *  past: the mid-run checkpoint sets must be byte-identical on/off. */
 TEST(IdleSkipIdentity, PeriodicCheckpointsMatchOff)
 {
-    auto checkpointsFor = [](bool idleSkip, const fs::path &dir) {
-        platform::PrototypeConfig cfg =
-            platform::PrototypeConfig::parse("2x1x2");
+    auto checkpointsFor = [](bool idleSkip, const test::fs::path &dir) {
+        platform::PrototypeConfig cfg = test::resumeConfig(dir, 20'000);
         cfg.uncore.idleSkip = idleSkip;
-        cfg.parallel.threads = 2;
-        cfg.parallel.quantum = 63;
-        cfg.snapshot.interval = 20'000;
-        cfg.snapshot.dir = dir.string();
-        cfg.snapshot.keep = 0;
         platform::Prototype proto(cfg);
-        proto.loadSourceReplicated(kWfiTimerSource);
+        proto.loadSourceReplicated(test::kWfiTimerSource);
         proto.runCores({0, 1, 2, 3}, 60'000);
         return snap::listCheckpoints(dir.string());
     };
-    fs::path dir_on = scratchDir("snap_on");
-    fs::path dir_off = scratchDir("snap_off");
-    auto on = checkpointsFor(true, dir_on);
-    auto off = checkpointsFor(false, dir_off);
+    auto on = checkpointsFor(true, test::scratchDir("on"));
+    auto off = checkpointsFor(false, test::scratchDir("off"));
     ASSERT_GE(on.size(), 2u) << "workload too short to checkpoint";
     ASSERT_EQ(on.size(), off.size());
     for (std::size_t i = 0; i < on.size(); ++i) {
-        EXPECT_EQ(fs::path(on[i]).filename(), fs::path(off[i]).filename());
-        EXPECT_EQ(slurp(on[i]) == slurp(off[i]), true)
+        EXPECT_EQ(test::fs::path(on[i]).filename(),
+                  test::fs::path(off[i]).filename());
+        EXPECT_EQ(test::slurp(on[i]) == test::slurp(off[i]), true)
             << "checkpoint " << i << " diverged";
     }
-}
-
-/** A skip-on run's mid-run checkpoint restores into a skip-off
- *  prototype and the final states match byte for byte: the knob lives
- *  outside the checkpoint and outside the config fingerprint. */
-TEST(IdleSkipIdentity, CheckpointsInterchangeBetweenOnAndOff)
-{
-    auto configFor = [](bool idleSkip, const std::string &dir) {
-        platform::PrototypeConfig cfg =
-            platform::PrototypeConfig::parse("2x1x2");
-        cfg.uncore.idleSkip = idleSkip;
-        cfg.parallel.threads = 2;
-        cfg.parallel.quantum = 63;
-        cfg.snapshot.interval = 20'000;
-        cfg.snapshot.dir = dir;
-        cfg.snapshot.keep = 0;
-        return cfg;
-    };
-    fs::path dir_a = scratchDir("interchange_a");
-    fs::path dir_b = scratchDir("interchange_b");
-
-    platform::Prototype a(configFor(true, dir_a.string()));
-    a.loadSourceReplicated(kWfiTimerSource);
-    a.runCores({0, 1, 2, 3}, 60'000);
-    std::string final_a = (dir_a / "final.smck").string();
-    a.checkpoint(final_a);
-
-    auto mids = snap::listCheckpoints(dir_a.string());
-    ASSERT_GE(mids.size(), 2u) << "workload too short to checkpoint";
-
-    platform::Prototype b(configFor(false, dir_b.string()));
-    b.loadSourceReplicated(kWfiTimerSource);
-    b.restore(mids[mids.size() / 2]);
-    b.runCores({0, 1, 2, 3}, 60'000);
-    std::string final_b = (dir_b / "final.smck").string();
-    b.checkpoint(final_b);
-
-    EXPECT_EQ(slurp(final_a), slurp(final_b));
 }
 
 /** A run whose parked core has no wake source at all ends through the
@@ -550,30 +369,14 @@ finish:
 
 TEST(IdleSkipIdentity, GiveUpAfterIdleBudgetMatchesOff)
 {
-    auto surfaceFor = [](bool idleSkip, const fs::path &dir) {
-        platform::PrototypeConfig cfg =
-            platform::PrototypeConfig::parse("2x1x2");
-        cfg.uncore.idleSkip = idleSkip;
-        cfg.parallel.threads = 2;
-        cfg.parallel.quantum = 63;
-        platform::Prototype proto(cfg);
-        proto.loadSourceReplicated(kNoWakeSource);
-        proto.runCores({0, 1, 2, 3}, 20'000);
-        Surface out;
-        std::ostringstream stats;
-        proto.stats().dump(stats);
-        out.stats = stats.str();
-        std::string snap = (dir / "giveup.smck").string();
-        proto.checkpoint(snap);
-        auto bytes = slurp(snap);
-        out.snapshot.assign(bytes.begin(), bytes.end());
-        return out;
-    };
-    fs::path dir = scratchDir("giveup");
-    Surface on = surfaceFor(true, dir);
-    Surface off = surfaceFor(false, dir);
-    EXPECT_EQ(on.stats, off.stats);
-    EXPECT_EQ(on.snapshot == off.snapshot, true);
+    test::fs::path dir = test::scratchDir("giveup");
+    test::Surface on = test::runSurface(phasedConfig(true), kNoWakeSource,
+                                        20'000, dir);
+    test::Surface off = test::runSurface(phasedConfig(false), kNoWakeSource,
+                                         20'000, dir);
+    test::Verdict v;
+    v.compare("off", on, off);
+    EXPECT_TRUE(v.identical()) << v.report;
 }
 
 } // namespace

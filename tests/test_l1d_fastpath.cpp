@@ -1,219 +1,37 @@
 /**
  * @file
  * L1D fast-path tests: side-effect parity of MemPort::loadFastHit /
- * storeFastHit against the full CoherentSystem::access() walk. The
- * fast path must be observably invisible — stats, traces and SMCK
- * checkpoints byte-identical with the fast path on or off, across the
- * sequential and phased engines at 1/2/4 workers — including the
+ * storeFastHit against the full CoherentSystem::access() walk in the
  * bail-heavy regimes where the audit looked for double side effects:
- * shared-line bounces (the fast path attempts and bails mid-run),
- * armed test mutations and attached coherence observers (the fast path
- * must not engage at all).
+ * shared-line bounces (the fast path attempts and bails mid-run), armed
+ * test mutations and attached coherence observers (the fast path must
+ * not engage at all). The on/off identity of stats, traces and
+ * checkpoints across engines and workers is the dataFastPath row of
+ * tests/test_fastpath_identity.cpp.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "cache/coherent_system.hpp"
-#include "obs/trace_io.hpp"
 #include "platform/prototype.hpp"
-#include "snap/snapshot.hpp"
+#include "support/identity.hpp"
 
 namespace smappic
 {
 namespace
 {
 
-namespace fs = std::filesystem;
-
-fs::path
-scratchDir(const std::string &name)
-{
-    fs::path dir = fs::path(::testing::TempDir()) / ("l1dfp_" + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
-
-std::vector<std::uint8_t>
-slurp(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    EXPECT_TRUE(is.good()) << path;
-    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(is),
-                                     std::istreambuf_iterator<char>());
-}
-
-/** Private-line streaming plus a shared-line RMW every iteration: the
- *  private slots keep the fast path engaged (steady-state L1D/BPC-M
- *  hits) while the shared line bounces between harts, forcing the fast
- *  path to attempt and bail around every recall. All access widths are
- *  naturally aligned; sub-dword widths (lb/lh/lw, sb/sh/sw) keep the
- *  width plumbing honest. */
-constexpr const char *kShareMixSource = R"(
-_start:
-    csrr t0, 0xf14
-    andi t0, t0, 3
-    slli t1, t0, 7       # 128-byte private stride per hart
-    la t6, buf
-    add t6, t6, t1
-    la a5, shared
-    li t2, 0
-loop:
-    ld t3, 0(t6)
-    add t3, t3, t2
-    sd t3, 0(t6)
-    lw t4, 8(t6)
-    addw t4, t4, t3
-    sw t4, 8(t6)
-    lh t5, 12(t6)
-    sh t5, 12(t6)
-    lb a1, 14(t6)
-    sb a1, 14(t6)
-    ld a2, 0(a5)         # shared-line bounce
-    add a2, a2, t3
-    sd a2, 0(a5)
-    addi t2, t2, 1
-    j loop
-
-.data
-.align 7
-buf:    .dword 1
-        .dword 2
-        .dword 3
-        .dword 4
-.align 7
-        .dword 5
-        .dword 6
-        .dword 7
-        .dword 8
-.align 7
-        .dword 9
-        .dword 10
-        .dword 11
-        .dword 12
-.align 7
-        .dword 13
-        .dword 14
-        .dword 15
-        .dword 16
-.align 7
-shared: .dword 100
-)";
-
+/** Sequential 2x1x2 with the data fast path on or off. */
 platform::PrototypeConfig
-mixConfig(bool fastPath, std::uint32_t threads)
+mixConfig(bool fastPath)
 {
-    platform::PrototypeConfig cfg = platform::PrototypeConfig::parse("2x1x2");
+    platform::PrototypeConfig cfg = test::engineConfig("2x1x2", 0);
     cfg.core.dataFastPath = fastPath;
-    cfg.parallel.threads = threads;
-    if (threads > 0)
-        cfg.parallel.quantum = 63; // threads == 0: sequential engine.
     return cfg;
-}
-
-struct Surface
-{
-    std::string stats;
-    std::string trace;
-    std::string snapshot;
-};
-
-Surface
-runSurface(bool fastPath, std::uint32_t threads, const fs::path &dir)
-{
-    platform::PrototypeConfig cfg = mixConfig(fastPath, threads);
-    if (threads == 0) {
-        cfg.parallel.threads = 1;
-        cfg.parallel.quantum = 63;
-    }
-    cfg.trace.enabled = true;
-    platform::Prototype proto(cfg);
-    proto.loadSourceReplicated(kShareMixSource);
-    proto.runCores({0, 1, 2, 3}, 20'000);
-
-    Surface out;
-    std::ostringstream stats;
-    proto.stats().dump(stats);
-    out.stats = stats.str();
-    std::ostringstream trace;
-    obs::writeBinary(proto.tracer(), trace);
-    out.trace = trace.str();
-    std::string snap = (dir / "surface.smck").string();
-    proto.checkpoint(snap);
-    auto bytes = slurp(snap);
-    out.snapshot.assign(bytes.begin(), bytes.end());
-    return out;
-}
-
-TEST(L1dFastPathIdentity, StatsTraceAndCheckpointMatchOffAcrossWorkers)
-{
-    fs::path dir = scratchDir("surface");
-    Surface ref = runSurface(true, 1, dir);
-    EXPECT_FALSE(ref.stats.empty());
-    EXPECT_FALSE(ref.trace.empty());
-    EXPECT_FALSE(ref.snapshot.empty());
-    for (bool fastPath : {true, false}) {
-        for (std::uint32_t threads : {1u, 2u, 4u}) {
-            if (fastPath && threads == 1)
-                continue; // The reference itself.
-            Surface got = runSurface(fastPath, threads, dir);
-            EXPECT_EQ(got.stats, ref.stats)
-                << "fastpath " << fastPath << ", " << threads << " workers";
-            EXPECT_EQ(got.trace == ref.trace, true)
-                << "fastpath " << fastPath << ", " << threads << " workers";
-            EXPECT_EQ(got.snapshot == ref.snapshot, true)
-                << "fastpath " << fastPath << ", " << threads << " workers";
-        }
-    }
-}
-
-platform::PrototypeConfig
-resumeConfig(bool fastPath, const std::string &dir)
-{
-    platform::PrototypeConfig cfg = platform::PrototypeConfig::parse("2x1x2");
-    cfg.core.dataFastPath = fastPath;
-    cfg.parallel.threads = 2;
-    cfg.parallel.quantum = 63;
-    cfg.snapshot.interval = 4000;
-    cfg.snapshot.dir = dir;
-    cfg.snapshot.keep = 0;
-    return cfg;
-}
-
-TEST(L1dFastPathIdentity, CheckpointsInterchangeBetweenOnAndOff)
-{
-    // A fast-path-on run's mid-run checkpoint restores into a
-    // fast-path-off prototype (and the final states match byte for
-    // byte): the fast path is pure replay of the hit path, outside the
-    // checkpoint and outside the config fingerprint.
-    fs::path dir_a = scratchDir("interchange_a");
-    fs::path dir_b = scratchDir("interchange_b");
-
-    platform::Prototype a(resumeConfig(true, dir_a.string()));
-    a.loadSourceReplicated(kShareMixSource);
-    a.runCores({0, 1, 2, 3}, 30'000);
-    std::string final_a = (dir_a / "final.smck").string();
-    a.checkpoint(final_a);
-
-    auto mids = snap::listCheckpoints(dir_a.string());
-    ASSERT_GE(mids.size(), 2u) << "workload too short to checkpoint";
-
-    platform::Prototype b(resumeConfig(false, dir_b.string()));
-    b.loadSourceReplicated(kShareMixSource);
-    b.restore(mids[mids.size() / 2]);
-    b.runCores({0, 1, 2, 3}, 30'000);
-    std::string final_b = (dir_b / "final.smck").string();
-    b.checkpoint(final_b);
-
-    EXPECT_EQ(slurp(final_a), slurp(final_b));
 }
 
 // ------------------------------------------ bail-parity (audit pins)
@@ -226,12 +44,10 @@ TEST(L1dFastPathIdentity, CheckpointsInterchangeBetweenOnAndOff)
 TEST(L1dFastPathBail, SharedLineBounceStatsMatchOff)
 {
     auto dumpFor = [](bool fastPath) {
-        platform::Prototype proto(mixConfig(fastPath, 0));
-        proto.loadSourceReplicated(kShareMixSource);
+        platform::Prototype proto(mixConfig(fastPath));
+        proto.loadSourceReplicated(test::kShareMixSource);
         proto.runCores({0, 1, 2, 3}, 40'000);
-        std::ostringstream os;
-        proto.stats().dump(os);
-        return os.str();
+        return test::statsDump(proto);
     };
     EXPECT_EQ(dumpFor(true), dumpFor(false));
 }
@@ -242,8 +58,9 @@ TEST(L1dFastPathBail, SharedLineBounceStatsMatchOff)
 TEST(L1dFastPathBail, ArmedMutationStatsMatchOff)
 {
     auto runFor = [](bool fastPath) {
-        platform::Prototype proto(mixConfig(fastPath, 0));
-        riscv::Program prog = proto.loadSourceReplicated(kShareMixSource);
+        platform::Prototype proto(mixConfig(fastPath));
+        riscv::Program prog =
+            proto.loadSourceReplicated(test::kShareMixSource);
         Addr shared = 0;
         for (const auto &sym : prog.symbols) {
             if (sym.first == "shared")
@@ -253,9 +70,7 @@ TEST(L1dFastPathBail, ArmedMutationStatsMatchOff)
         proto.memorySystem().setTestMutation(
             cache::TestMutation::kLostInvalidation, shared);
         proto.runCores({0, 1, 2, 3}, 40'000);
-        std::ostringstream os;
-        proto.stats().dump(os);
-        return std::make_pair(os.str(),
+        return std::make_pair(test::statsDump(proto),
                               proto.memorySystem().staleCopyActive());
     };
     auto on = runFor(true);
@@ -270,15 +85,13 @@ TEST(L1dFastPathBail, ArmedMutationStatsMatchOff)
 TEST(L1dFastPathBail, AttachedCheckerStatsMatchOff)
 {
     auto runFor = [](bool fastPath) {
-        platform::PrototypeConfig cfg = mixConfig(fastPath, 0);
+        platform::PrototypeConfig cfg = mixConfig(fastPath);
         cfg.check.enabled = true;
         platform::Prototype proto(cfg);
-        proto.loadSourceReplicated(kShareMixSource);
+        proto.loadSourceReplicated(test::kShareMixSource);
         proto.runCores({0, 1, 2, 3}, 40'000);
         EXPECT_EQ(proto.checker()->violations().size(), 0u);
-        std::ostringstream os;
-        proto.stats().dump(os);
-        return os.str();
+        return test::statsDump(proto);
     };
     EXPECT_EQ(runFor(true), runFor(false));
 }

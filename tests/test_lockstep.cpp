@@ -301,10 +301,12 @@ TEST(LockstepFuzz, FixedSeedSharedLinesAreClean)
 
 TEST(LockstepFuzz, DecodeCacheOffIsClean)
 {
+    // The reference run turns the decode cache off with every other
+    // host-only fast path.
     FuzzConfig cfg;
     cfg.seed = 17;
     cfg.count = 128;
-    cfg.decodeCache = false;
+    cfg.reference = true;
     FuzzResult r = runFuzz(cfg);
     EXPECT_FALSE(r.diverged);
     EXPECT_TRUE(r.exitedCleanly);
@@ -313,7 +315,8 @@ TEST(LockstepFuzz, DecodeCacheOffIsClean)
 TEST(LockstepFuzz, DataFastPathOnAndOffReachIdenticalFinalState)
 {
     // Memory-heavy mix so the fast path actually fires, sequential and
-    // phased at 2/4 workers. Both variants run the identical program
+    // phased at 2/4 workers; "off" is the reference run, with every
+    // host-only fast path off. Both variants run the identical program
     // under the golden-model checker: zero divergences each, and equal
     // commit counts pin the final architectural state as identical
     // (every commit was already golden-verified). Both harts live on
@@ -329,9 +332,8 @@ TEST(LockstepFuzz, DataFastPathOnAndOffReachIdenticalFinalState)
         cfg.shared = true;
         cfg.threads = workers;
 
-        cfg.dataFastPath = true;
         FuzzResult on = runFuzz(cfg);
-        cfg.dataFastPath = false;
+        cfg.reference = true;
         FuzzResult off = runFuzz(cfg);
 
         EXPECT_FALSE(on.diverged) << "fastpath on, workers " << workers;
@@ -393,10 +395,13 @@ TEST(LockstepFuzz, ReproCommandRoundTrips)
     cfg.mix = FuzzMix::kAmo;
     cfg.shared = true;
     cfg.threads = 2;
-    cfg.decodeCache = false;
     EXPECT_EQ(reproCommand(cfg),
               "diff_run --spec 1x2x1 --seed 99 --count 64 --mix amo "
-              "--shared --threads 2 --quantum 256 --no-decode-cache");
+              "--shared --threads 2 --quantum 256");
+    cfg.reference = true;
+    EXPECT_EQ(reproCommand(cfg),
+              "diff_run --spec 1x2x1 --seed 99 --count 64 --mix amo "
+              "--shared --threads 2 --quantum 256 --reference");
 }
 
 // ---------------------------------------------------------------------

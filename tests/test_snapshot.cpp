@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -26,32 +25,16 @@
 #include "sim/watchdog.hpp"
 #include "snap/snapshot.hpp"
 #include "snap/state_io.hpp"
+#include "support/identity.hpp"
 
 namespace smappic
 {
 namespace
 {
 
-namespace fs = std::filesystem;
-
-/** Fresh per-test scratch directory under the gtest temp root. */
-fs::path
-scratchDir(const std::string &name)
-{
-    fs::path dir = fs::path(::testing::TempDir()) / ("snap_" + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
-
-std::vector<std::uint8_t>
-slurp(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    EXPECT_TRUE(is.good()) << path;
-    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(is),
-                                     std::istreambuf_iterator<char>());
-}
+namespace fs = test::fs;
+using test::scratchDir;
+using test::slurp;
 
 // ---------------------------------------------------------------- SMCK
 
@@ -126,7 +109,7 @@ TEST(StateIo, CorruptionIsDetected)
     EXPECT_THROW(r.open(snap::Section::kMeta), FatalError);
 
     // Truncation must fail header or section parsing, not crash.
-    std::vector<std::uint8_t> bytes = slurp(path);
+    std::string bytes = slurp(path);
     std::string trunc = (dir / "t.smck").string();
     {
         std::ofstream os(trunc, std::ios::binary);
@@ -222,13 +205,8 @@ tortureProtoConfig(std::uint32_t threads, Cycles interval,
                    const std::string &dir)
 {
     platform::PrototypeConfig cfg =
-        platform::PrototypeConfig::parse("2x1x2");
+        test::resumeConfig(dir, interval, threads);
     cfg.seed = 11;
-    cfg.parallel.threads = threads;
-    cfg.parallel.quantum = 63;
-    cfg.snapshot.interval = interval;
-    cfg.snapshot.dir = dir;
-    cfg.snapshot.keep = 0; // Keep everything: the tests diff the sets.
     return cfg;
 }
 
@@ -246,10 +224,7 @@ tortureWorkload()
 void
 runWorkload(platform::Prototype &proto)
 {
-    std::vector<GlobalTileId> gids;
-    for (std::uint32_t c = 0; c < proto.coreCount(); ++c)
-        gids.push_back(c);
-    proto.runCores(gids, 100'000);
+    proto.runCores(test::allCores(proto), 100'000);
 }
 
 TEST(PlatformSnap, CheckpointsAreWorkerCountInvariant)

@@ -100,6 +100,21 @@ TEST(TortureHarness, SurvivesFaultySubstrateWithReliableBridge)
                                    : rep.mismatches[0]);
 }
 
+TEST(TortureHarness, ReproCommandRoundTrips)
+{
+    TortureConfig cfg;
+    cfg.seed = 6;
+    EXPECT_EQ(reproCommand(cfg),
+              "litmus_run --torture --spec 2x1x2 --seed 6 --ops 64 "
+              "--lines 4");
+    cfg.parallel.threads = 2;
+    cfg.parallel.quantum = 63;
+    cfg.reliability.enabled = true; // What litmus_run --faulty sets.
+    EXPECT_EQ(reproCommand(cfg),
+              "litmus_run --torture --spec 2x1x2 --seed 6 --ops 64 "
+              "--lines 4 --threads 2 --quantum 63 --faulty");
+}
+
 TEST(TortureHarness, MutationFailsMinimizesAndReproduces)
 {
     TortureConfig cfg;

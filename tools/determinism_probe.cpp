@@ -20,15 +20,14 @@
  * across worker counts the same way (they are bit-identical by design).
  */
 
-#include <cerrno>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli_number.hpp"
 #include "platform/prototype.hpp"
 
 using namespace smappic;
@@ -125,21 +124,6 @@ usage(const char *argv0)
     return 2;
 }
 
-/** Strict numeric parse: rejects empty, trailing garbage and overflow
- *  instead of silently reading them as 0. */
-bool
-parseU64Strict(const char *s, std::uint64_t &out)
-{
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "bad numeric value '%s'\n", s);
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -148,23 +132,23 @@ main(int argc, char **argv)
     if (argc < 4)
         return usage(argv[0]);
     const std::string spec = argv[1];
-    std::uint64_t threads = 0;
+    std::uint32_t threads = 0;
     Cycles quantum = 0;
-    if (!parseU64Strict(argv[2], threads) || threads == 0 ||
-        threads > UINT32_MAX || !parseU64Strict(argv[3], quantum))
+    if (!tools::parseNumber(argv[2], threads) || threads == 0 ||
+        !tools::parseNumber(argv[3], quantum))
         return usage(argv[0]);
     std::uint64_t budget = 500'000;
     std::string trace_path;
     for (int i = 4; i < argc; ++i) {
         if (std::string(argv[i]) == "--trace" && i + 1 < argc) {
             trace_path = argv[++i];
-        } else if (!parseU64Strict(argv[i], budget)) {
+        } else if (!tools::parseNumber(argv[i], budget)) {
             return usage(argv[0]);
         }
     }
 
     PrototypeConfig cfg = PrototypeConfig::parse(spec);
-    cfg.parallel.threads = static_cast<std::uint32_t>(threads);
+    cfg.parallel.threads = threads;
     cfg.parallel.quantum = quantum;
     if (!trace_path.empty()) {
         cfg.trace.enabled = true;

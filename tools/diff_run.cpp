@@ -19,9 +19,8 @@
  *   --threads <N>       Phased engine with N workers (default:
  *                       sequential engine).
  *   --quantum <N>       Phased quantum in cycles (default 256).
- *   --no-decode-cache   Disable the decoded-instruction cache.
- *   --no-data-fastpath  Disable the L1D hit fast path.
- *   --no-idle-skip      Disable the uncore event-horizon idle skip.
+ *   --reference         Turn every host-only fast path off (decode
+ *                       cache, L1D hit fast path, uncore idle skip).
  *   --defect <D>        Arm a test-only defect: mulh | stale-decode.
  *                       Inverts the exit code: 0 = the checker caught
  *                       it (and prints the minimized repro), 1 = missed.
@@ -31,14 +30,13 @@
  * divergence (or defect missed), 2 = usage error.
  */
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "check/isa_fuzz.hpp"
+#include "cli_number.hpp"
 #include "sim/log.hpp"
 
 using namespace smappic;
@@ -53,25 +51,9 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--spec <FxNxT>] [--seed <N>] [--runs <N>] "
         "[--count <N>] [--mix <M>] [--shared] [--threads <N>] "
-        "[--quantum <N>] [--no-decode-cache] [--no-data-fastpath] "
-        "[--no-idle-skip] [--defect <D>] [--minimize]\n",
+        "[--quantum <N>] [--reference] [--defect <D>] [--minimize]\n",
         argv0);
     return 2;
-}
-
-/** Strict numeric parse: rejects empty, trailing garbage and overflow
- *  instead of silently reading them as 0. */
-bool
-parseU64Strict(const char *s, std::uint64_t &out)
-{
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "bad numeric value '%s'\n", s);
-        return false;
-    }
-    return true;
 }
 
 } // namespace
@@ -92,7 +74,6 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        std::uint64_t n = 0;
         if (arg == "--spec") {
             const char *v = value("--spec");
             if (v == nullptr)
@@ -100,18 +81,17 @@ main(int argc, char **argv)
             cfg.spec = v;
         } else if (arg == "--seed") {
             const char *v = value("--seed");
-            if (v == nullptr || !parseU64Strict(v, cfg.seed))
+            if (v == nullptr || !tools::parseNumber(v, cfg.seed))
                 return usage(argv[0]);
         } else if (arg == "--runs") {
             const char *v = value("--runs");
-            if (v == nullptr || !parseU64Strict(v, runs) || runs == 0)
+            if (v == nullptr || !tools::parseNumber(v, runs) || runs == 0)
                 return usage(argv[0]);
         } else if (arg == "--count") {
             const char *v = value("--count");
-            if (v == nullptr || !parseU64Strict(v, n) || n == 0 ||
-                n > 100000)
+            if (v == nullptr || !tools::parseNumber(v, cfg.count) ||
+                cfg.count == 0 || cfg.count > 100000)
                 return usage(argv[0]);
-            cfg.count = static_cast<std::uint32_t>(n);
         } else if (arg == "--mix") {
             const char *v = value("--mix");
             if (v == nullptr)
@@ -126,21 +106,16 @@ main(int argc, char **argv)
             cfg.shared = true;
         } else if (arg == "--threads") {
             const char *v = value("--threads");
-            if (v == nullptr || !parseU64Strict(v, n) || n == 0 ||
-                n > 64)
+            if (v == nullptr || !tools::parseNumber(v, cfg.threads) ||
+                cfg.threads == 0 || cfg.threads > 64)
                 return usage(argv[0]);
-            cfg.threads = static_cast<std::uint32_t>(n);
         } else if (arg == "--quantum") {
             const char *v = value("--quantum");
-            if (v == nullptr || !parseU64Strict(v, n) || n == 0)
+            if (v == nullptr || !tools::parseNumber(v, cfg.quantum) ||
+                cfg.quantum == 0)
                 return usage(argv[0]);
-            cfg.quantum = n;
-        } else if (arg == "--no-decode-cache") {
-            cfg.decodeCache = false;
-        } else if (arg == "--no-data-fastpath") {
-            cfg.dataFastPath = false;
-        } else if (arg == "--no-idle-skip") {
-            cfg.idleSkip = false;
+        } else if (arg == "--reference") {
+            cfg.reference = true;
         } else if (arg == "--defect") {
             const char *v = value("--defect");
             if (v == nullptr)

@@ -8,24 +8,27 @@
  *
  * Usage:
  *   litmus_run --litmus [--spec AxBxC] [--seed N] [--iters N]
- *              [--threads N --quantum N]
+ *              [--threads N --quantum N] [--reference]
  *   litmus_run --torture [--spec AxBxC] [--seed N] [--ops N]
  *              [--lines N] [--threads N --quantum N] [--faulty]
  *              [--minimize]
  *   litmus_run --torture-sweep N   (N random seeds; stops on failure)
  *
+ * --reference turns every host-only fast path off for the litmus suite;
+ * the torture modes do not take it.
+ *
  * Exit code 0 = everything passed; 1 = a forbidden outcome, golden
- * mismatch or checker violation (the repro command is printed).
+ * mismatch or checker violation (the repro command is printed); 2 =
+ * usage error.
  */
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "check/litmus.hpp"
 #include "check/torture.hpp"
+#include "cli_number.hpp"
 
 using namespace smappic;
 
@@ -40,8 +43,7 @@ printUsage()
                  "--litmus|--torture|--torture-sweep N "
                  "[--spec AxBxC] [--seed N] [--iters N] [--ops N]"
                  " [--lines N] [--threads N] [--quantum N] "
-                 "[--faulty] [--minimize] [--no-data-fastpath] "
-                 "[--no-idle-skip]\n");
+                 "[--faulty] [--minimize] [--reference]\n");
 }
 
 struct Options
@@ -58,26 +60,8 @@ struct Options
     Cycles quantum = 0;
     bool faulty = false;
     bool minimize = false;
-    bool dataFastPath = true;
-    bool idleSkip = true;
+    bool reference = false;
 };
-
-/** Strict numeric parse: the whole operand must be a number, and it
- *  must fit — "12x", "" or an overflowing literal are usage errors, not
- *  silently-misread zeros. */
-std::uint64_t
-parseU64(const char *s)
-{
-    char *end = nullptr;
-    errno = 0;
-    std::uint64_t v = std::strtoull(s, &end, 0);
-    if (end == s || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "bad numeric value '%s'\n", s);
-        printUsage();
-        std::exit(2);
-    }
-    return v;
-}
 
 int
 runLitmusSuite(const Options &opt)
@@ -86,8 +70,7 @@ runLitmusSuite(const Options &opt)
     cfg.spec = opt.spec;
     cfg.seed = opt.seed;
     cfg.iterations = opt.iters;
-    cfg.dataFastPath = opt.dataFastPath;
-    cfg.idleSkip = opt.idleSkip;
+    cfg.reference = opt.reference;
     if (opt.threads > 0) {
         cfg.parallel.threads = opt.threads;
         cfg.parallel.quantum = opt.quantum ? opt.quantum : 63;
@@ -102,15 +85,7 @@ runLitmusSuite(const Options &opt)
                     static_cast<unsigned long long>(r.checkerViolations));
         if (!r.passed) {
             ++failures;
-            std::printf("repro: litmus_run --litmus --spec %s --seed "
-                        "%llu --iters %u%s\n",
-                        opt.spec.c_str(),
-                        static_cast<unsigned long long>(opt.seed),
-                        opt.iters,
-                        opt.threads
-                            ? (" --threads " + std::to_string(opt.threads))
-                                  .c_str()
-                            : "");
+            std::printf("repro: %s\n", check::reproCommand(cfg).c_str());
         }
     }
     return failures ? 1 : 0;
@@ -199,29 +174,35 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&](auto &out) {
+            if (!tools::parseNumber(next(), out)) {
+                printUsage();
+                std::exit(2);
+            }
+        };
         if (a == "--litmus") opt.litmus = true;
         else if (a == "--torture") opt.torture = true;
-        else if (a == "--torture-sweep") opt.sweep = parseU64(next());
+        else if (a == "--torture-sweep") number(opt.sweep);
         else if (a == "--spec") opt.spec = next();
-        else if (a == "--seed") opt.seed = parseU64(next());
-        else if (a == "--iters")
-            opt.iters = static_cast<std::uint32_t>(parseU64(next()));
-        else if (a == "--ops")
-            opt.ops = static_cast<std::uint32_t>(parseU64(next()));
-        else if (a == "--lines")
-            opt.lines = static_cast<std::uint32_t>(parseU64(next()));
-        else if (a == "--threads")
-            opt.threads = static_cast<std::uint32_t>(parseU64(next()));
-        else if (a == "--quantum") opt.quantum = parseU64(next());
+        else if (a == "--seed") number(opt.seed);
+        else if (a == "--iters") number(opt.iters);
+        else if (a == "--ops") number(opt.ops);
+        else if (a == "--lines") number(opt.lines);
+        else if (a == "--threads") number(opt.threads);
+        else if (a == "--quantum") number(opt.quantum);
         else if (a == "--faulty") opt.faulty = true;
         else if (a == "--minimize") opt.minimize = true;
-        else if (a == "--no-data-fastpath") opt.dataFastPath = false;
-        else if (a == "--no-idle-skip") opt.idleSkip = false;
+        else if (a == "--reference") opt.reference = true;
         else {
             std::fprintf(stderr, "unknown option %s\n", a.c_str());
             printUsage();
             return 2;
         }
+    }
+    if (opt.reference && (opt.torture || opt.sweep)) {
+        std::fprintf(stderr, "--reference applies to --litmus only\n");
+        printUsage();
+        return 2;
     }
 
     try {

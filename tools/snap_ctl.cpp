@@ -31,17 +31,16 @@
  *                                     checkpoint in --dir)
  */
 
-#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "check/torture.hpp"
+#include "cli_number.hpp"
 #include "platform/prototype.hpp"
 #include "sim/log.hpp"
 #include "snap/snapshot.hpp"
@@ -95,19 +94,6 @@ usage()
     return 2;
 }
 
-std::uint64_t
-parseU64(const char *s)
-{
-    char *end = nullptr;
-    errno = 0;
-    std::uint64_t v = std::strtoull(s, &end, 0);
-    if (end == s || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "bad numeric value '%s'\n", s);
-        std::exit(usage());
-    }
-    return v;
-}
-
 bool
 parseOptions(int argc, char **argv, Options &opt)
 {
@@ -123,26 +109,24 @@ parseOptions(int argc, char **argv, Options &opt)
             }
             return argv[++i];
         };
+        auto number = [&](auto &out) {
+            if (!tools::parseNumber(next(), out))
+                std::exit(usage());
+        };
         if (a == "--spec") opt.spec = next();
-        else if (a == "--seed") opt.seed = parseU64(next());
-        else if (a == "--ops")
-            opt.ops = static_cast<std::uint32_t>(parseU64(next()));
-        else if (a == "--lines")
-            opt.lines = static_cast<std::uint32_t>(parseU64(next()));
-        else if (a == "--max-instructions")
-            opt.maxInstructions = parseU64(next());
-        else if (a == "--threads")
-            opt.threads = static_cast<std::uint32_t>(parseU64(next()));
-        else if (a == "--quantum") opt.quantum = parseU64(next());
-        else if (a == "--interval") opt.interval = parseU64(next());
+        else if (a == "--seed") number(opt.seed);
+        else if (a == "--ops") number(opt.ops);
+        else if (a == "--lines") number(opt.lines);
+        else if (a == "--max-instructions") number(opt.maxInstructions);
+        else if (a == "--threads") number(opt.threads);
+        else if (a == "--quantum") number(opt.quantum);
+        else if (a == "--interval") number(opt.interval);
         else if (a == "--dir") opt.dir = next();
-        else if (a == "--keep")
-            opt.keep = static_cast<std::uint32_t>(parseU64(next()));
+        else if (a == "--keep") number(opt.keep);
         else if (a == "--stats-json") opt.statsJson = next();
         else if (a == "--trace") opt.tracePath = next();
-        else if (a == "--kill-at") opt.killAt = parseU64(next());
-        else if (a == "--watchdog-stall")
-            opt.watchdogStall = parseU64(next());
+        else if (a == "--kill-at") number(opt.killAt);
+        else if (a == "--watchdog-stall") number(opt.watchdogStall);
         else if (a == "--watchdog-action") {
             std::string v = next();
             if (v == "report")
@@ -158,9 +142,9 @@ parseOptions(int argc, char **argv, Options &opt)
             }
         } else if (a == "--wedge-node") {
             opt.wedge = true;
-            opt.wedgeNode = static_cast<std::uint32_t>(parseU64(next()));
+            number(opt.wedgeNode);
         } else if (a == "--wedge-after")
-            opt.wedgeAfter = parseU64(next());
+            number(opt.wedgeAfter);
         else if (a == "--from") opt.from = next();
         else if (!a.empty() && a[0] != '-')
             opt.files.push_back(a);

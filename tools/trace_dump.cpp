@@ -22,7 +22,6 @@
  * Usage: trace_dump <trace.bin> [options]
  */
 
-#include <cerrno>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_number.hpp"
 #include "obs/trace_io.hpp"
 #include "sim/log.hpp"
 #include "sim/stats.hpp"
@@ -66,21 +66,6 @@ usage(const char *argv0)
                  "  B exclusive, so <A:B> <B:C> tile without overlap)\n",
                  argv0);
     return 2;
-}
-
-/** Strict numeric parse: rejects empty, trailing garbage and overflow
- *  instead of silently reading them as 0. */
-bool
-parseU64Strict(const char *s, std::uint64_t &out)
-{
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "bad numeric value '%s'\n", s);
-        return false;
-    }
-    return true;
 }
 
 bool
@@ -128,13 +113,11 @@ parseOptions(int argc, char **argv, Options &opt)
         } else if (arg == "--json") {
             opt.jsonOut = argv[++i];
         } else if (arg == "--node") {
-            std::uint64_t node = 0;
-            if (!parseU64Strict(argv[++i], node) || node > 0xffff) {
+            if (!tools::parseNumber(argv[++i], opt.node)) {
                 std::fprintf(stderr, "--node wants a node index\n");
                 return false;
             }
             opt.filterNode = true;
-            opt.node = static_cast<std::uint16_t>(node);
         } else if (arg == "--component") {
             opt.filterComponents = true;
             if (!parseComponentList(argv[++i], opt.componentMask))
@@ -143,9 +126,9 @@ parseOptions(int argc, char **argv, Options &opt)
             std::string w = argv[++i];
             std::size_t colon = w.find(':');
             if (colon == std::string::npos ||
-                !parseU64Strict(w.substr(0, colon).c_str(),
-                                opt.windowFrom) ||
-                !parseU64Strict(w.c_str() + colon + 1, opt.windowTo)) {
+                !tools::parseNumber(w.substr(0, colon).c_str(),
+                                    opt.windowFrom) ||
+                !tools::parseNumber(w.c_str() + colon + 1, opt.windowTo)) {
                 std::fprintf(stderr, "--window wants <from>:<to> "
                                      "(half-open: from <= cycle < to)\n");
                 return false;
