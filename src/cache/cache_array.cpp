@@ -89,34 +89,36 @@ CacheArray::setState(Addr addr, std::uint32_t state)
     state_[slot] = state;
 }
 
+std::size_t
+CacheArray::fillSlot(std::size_t base) const
+{
+    std::size_t lru = base;
+    for (std::size_t s = base; s < base + ways_; ++s) {
+        if (tag_[s] == kEmpty)
+            return s;
+        if (lastUse_[s] < lastUse_[lru])
+            lru = s;
+    }
+    return lru;
+}
+
+std::uint32_t
+CacheArray::victimSlot(Addr addr) const
+{
+    std::size_t slot = fillSlot(setBase(addr));
+    return tag_[slot] == kEmpty ? kNoSlot : static_cast<std::uint32_t>(slot);
+}
+
 std::optional<Victim>
 CacheArray::insert(Addr addr, std::uint32_t state, std::uint32_t *slot_out)
 {
-    Addr line = lineOf(addr);
-    std::size_t base = setBase(addr);
-
-    // One scan finds the first empty way and the true-LRU way (the first
-    // among equal stamps), and rejects an already-resident line.
-    std::size_t empty = base + ways_;
-    std::size_t lru = base;
-    for (std::size_t s = base; s < base + ways_; ++s) {
-        panicIf(tag_[s] == line, "insert() of already-resident line");
-        if (tag_[s] == kEmpty) {
-            if (empty == base + ways_)
-                empty = s;
-        } else if (lastUse_[s] < lastUse_[lru]) {
-            lru = s;
-        }
-    }
-
+    panicIf(slotOf(addr) != kNoSlot, "insert() of already-resident line");
+    std::size_t slot = fillSlot(setBase(addr));
     std::optional<Victim> victim;
-    std::size_t slot = empty;
-    if (slot == base + ways_) {
-        slot = lru;
+    if (tag_[slot] != kEmpty)
         victim = Victim{tag_[slot], state_[slot]};
-    }
 
-    tag_[slot] = line;
+    tag_[slot] = lineOf(addr);
     state_[slot] = state;
     lastUse_[slot] = ++useClock_;
     if (slot_out)

@@ -78,6 +78,12 @@ class CacheArray
     std::optional<Victim> insert(Addr addr, std::uint32_t state = 0,
                                  std::uint32_t *slot_out = nullptr);
 
+    /**
+     * Slot whose line insert() would evict for @p addr's line right now,
+     * or kNoSlot when the set still has an empty way. Mutates nothing.
+     */
+    std::uint32_t victimSlot(Addr addr) const;
+
     /** Removes a line if present; returns its state. */
     std::optional<std::uint32_t> invalidate(Addr addr);
 
@@ -123,6 +129,9 @@ class CacheArray
         return static_cast<std::size_t>((addr >> lineShift_) & (sets_ - 1)) *
                ways_;
     }
+    /** First empty way of the set at @p base, else its true-LRU way
+     *  (the first among equal stamps). */
+    std::size_t fillSlot(std::size_t base) const;
     /** Line base address of @p addr. */
     Addr lineOf(Addr addr) const { return addr & ~(Addr{lineBytes_} - 1); }
 

@@ -5,6 +5,7 @@
 
 #include "obs/tracer.hpp"
 #include "sim/log.hpp"
+#include "sim/parallel.hpp"
 #include "snap/state_io.hpp"
 
 namespace smappic::cache
@@ -20,7 +21,7 @@ constexpr std::uint32_t kDataBytes = 16 + kCacheLineBytes;
 
 /**
  * Registry names of CoherentSystem::Stat, in enum order. Held as strings
- * so that the by-name lookups of parallel mode construct none.
+ * so that resolving a handle constructs none.
  */
 const std::string kStatNames[] = {
     "cs.l1.hits",
@@ -98,6 +99,7 @@ CoherentSystem::CoherentSystem(const Geometry &geo, const TimingParams &timing,
     dir_ = std::make_unique_for_overwrite<DirEntry[]>(
         static_cast<std::size_t>(total) * llcSlots_);
     tileMu_ = std::make_unique<std::mutex[]>(total);
+    statHandles_.resize(geo.nodes + 1);
 
     // Hop tables: every (from, to) pair of tiles plus the off-chip port,
     // which MeshTopology places north of tile 0.
@@ -170,14 +172,12 @@ CoherentSystem::homeOf(Addr addr) const
 }
 
 sim::Counter &
-CoherentSystem::resolveStat(Stat s)
+CoherentSystem::stat(Stat s)
 {
+    // kNoNode (serial context) maps to the last set.
+    NodeId acting = std::min<NodeId>(sim::currentNode(), geo_.nodes);
     auto i = static_cast<std::size_t>(s);
-    if (parallel_)
-        return stats_->counter(kStatNames[i]);
-    if (statCache_[i] == nullptr)
-        statCache_[i] = &stats_->counter(kStatNames[i]);
-    return *statCache_[i];
+    return statHandles_[acting].get(*stats_, i, kStatNames[i]);
 }
 
 sim::Summary &
@@ -551,6 +551,82 @@ CoherentSystem::storeFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
     stat(Stat::kL1StoreHits).increment();
     lat = timing_.l1HitLatency;
     return true;
+}
+
+bool
+CoherentSystem::crossesNode(GlobalTileId gid, Addr addr, AccessType type) const
+{
+    const NodeId me = nodeOf(gid);
+    for (const auto &w : devices_) {
+        if (addr >= w.base && addr - w.base < w.size)
+            return nodeOf(w.gid) != me;
+    }
+    // NC accesses, and a coherence domain's out-of-domain ones, go
+    // straight to the DRAM node (see access()).
+    const bool nc =
+        type == AccessType::kNcLoad || type == AccessType::kNcStore;
+    if ((nc || homing_ == HomingPolicy::kCoherenceDomains) &&
+        addrNode(addr) != me)
+        return true;
+    if (nc)
+        return false;
+
+    // Private hits stay on the tile.
+    const Addr line = lineAlign(addr);
+    const CacheArray &bpc = bpc_[gid];
+    if (type == AccessType::kLoad || type == AccessType::kFetch) {
+        const CacheArray &l1 =
+            type == AccessType::kFetch ? l1i_[gid] : l1d_[gid];
+        if (l1.probe(addr) || bpc.probe(line))
+            return false;
+    } else if (type == AccessType::kStore) {
+        if (bpc.probe(line) && bpc.state(line) == kModified)
+            return false;
+    }
+
+    // The pure map first: homeRef() probes the home slice's tags.
+    if (homeOf(line).first != me)
+        return true;
+    const std::uint32_t tiles = geo_.tilesPerNode;
+    const std::uint64_t mine =
+        (tiles >= 64 ? ~0ULL : (1ULL << tiles) - 1) << (me * tiles);
+    auto members = [](const DirEntry &d) {
+        return d.sharers | (d.owner >= 0 ? 1ULL << d.owner : 0);
+    };
+    const HomeRef home = homeRef(line);
+    if (home.slot != CacheArray::kNoSlot) {
+        const DirEntry &d = dirAt(home);
+        std::uint64_t others =
+            (type == AccessType::kLoad || type == AccessType::kFetch)
+                ? (d.owner >= 0 ? 1ULL << d.owner : 0)
+                : members(d);
+        if (others & ~mine)
+            return true;
+    } else {
+        if (addrNode(line) != me)
+            return true; // The fill reads another node's DRAM.
+        const CacheArray &slice = llc_[home.gid];
+        std::uint32_t vslot = slice.victimSlot(line);
+        if (vslot != CacheArray::kNoSlot) {
+            const DirEntry &vd =
+                dirAt(HomeRef{home.node, home.tile, home.gid, vslot});
+            if (members(vd) & ~mine)
+                return true;
+            if (vd.owner >= 0 && addrNode(*slice.lineAt(vslot)) != me)
+                return true; // The victim writes back to remote DRAM.
+        }
+    }
+
+    // A BPC fill notifies (or writes back to) its victim's home.
+    bool fills = type == AccessType::kLoad || type == AccessType::kFetch ||
+                 (type == AccessType::kStore && !bpc.probe(line));
+    if (fills) {
+        std::uint32_t vslot = bpc.victimSlot(line);
+        if (vslot != CacheArray::kNoSlot &&
+            homeOf(*bpc.lineAt(vslot)).first != me)
+            return true;
+    }
+    return false;
 }
 
 AccessResult

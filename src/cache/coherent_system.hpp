@@ -322,6 +322,26 @@ class CoherentSystem
      */
     bool storeFastHit(GlobalTileId gid, Addr addr, Cycles &lat);
 
+    /**
+     * True when access(@p gid, @p addr, @p type) would touch state that
+     * belongs to a node other than @p gid's own. That is the case when
+     * the access is not an L1 or BPC hit and
+     *  - the line's home node is another node;
+     *  - the home directory has an owner on another node, or (for a
+     *    store or atomic) a sharer on another node;
+     *  - the home LLC must fill, and the line's DRAM is on another node,
+     *    or the fill's victim has private copies on another node or
+     *    writes back to another node's DRAM;
+     *  - the BPC fill's victim has its home on another node;
+     * and always for an NC, coherence-domain or device-window access
+     * that targets another node. Reads only pure address maps and
+     * @p gid's node's own arrays and directory, and mutates nothing, so
+     * a node phase may ask it while other nodes run. The phased engine
+     * defers such accesses to its serial barrier (INTERNALS "Parallel
+     * execution").
+     */
+    bool crossesNode(GlobalTileId gid, Addr addr, AccessType type) const;
+
     /** Functional backing store (data plane). */
     mem::MainMemory &memory() { return memory_; }
     const mem::MainMemory &memory() const { return memory_; }
@@ -405,15 +425,15 @@ class CoherentSystem
     sim::StatRegistry &stats() { return *stats_; }
 
     /**
-     * Enables (or disables) parallel-phase locking. When on, the paths
-     * that touch state shared between nodes — device windows, NC memory
-     * operations and the whole miss path (directory, LLC/DRAM servers,
-     * bridge shapers) — serialize on one recursive mutex, while L1/BPC
-     * hits take only their own tile's lock (the phased engine confines
-     * a tile's accesses to one worker, but a *peer's* miss path recalls
-     * lines from this tile's arrays mid-quantum, so hits cannot go
-     * entirely lock-free — see tileGuard()). Off by default: the
-     * sequential engine pays one branch per access.
+     * Enables (or disables) parallel-phase locking. When on, device
+     * windows, NC memory operations and the whole miss path serialize on
+     * one recursive mutex, and L1/BPC hits take their own tile's lock
+     * (see tileGuard()). The phased engine lets a node phase run only
+     * accesses that stay on the acting node (crossesNode() is false), so
+     * concurrent phases never meet on the same state and the locks
+     * change no result; they remain as a safety net for callers outside
+     * that discipline. Off by default: the sequential engine pays one
+     * branch per access.
      */
     void setParallel(bool on) { parallel_ = on; }
 
@@ -437,11 +457,12 @@ class CoherentSystem
      * access() and the fetch/load/store fast paths — hold their own
      * tile's guard; a miss path mutating a *different* tile's arrays
      * (recall invalidations, owner downgrades) holds that tile's guard.
-     * Without it, a peer's recall races the owner's concurrent lookup on
-     * the same CacheArray bytes — a real data race that made phased
-     * cross-node-sharing runs nondeterministic. Lock order is strictly
-     * mu_ -> tile (hit paths never take mu_; miss paths take tile guards
-     * one at a time under mu_), so no cycle is possible.
+     * Under the phased engine such a recall reaches another node's tile
+     * only from the serial barrier, and a node phase recalls only its
+     * own node's tiles, so the guard is never contended across workers;
+     * it keeps callers that bypass that rule memory-safe. Lock order is
+     * strictly mu_ -> tile (hit paths never take mu_; miss paths take
+     * tile guards one at a time under mu_), so no cycle is possible.
      */
     std::unique_lock<std::mutex>
     tileGuard(GlobalTileId gid)
@@ -531,20 +552,18 @@ class CoherentSystem
     };
 
     /**
-     * The counter behind @p s. Serially it is a handle cached on first
-     * use: lazy, so a stat the run never touches stays out of the dump,
-     * and stable, because root-registry map nodes never move. While
-     * parallel_ is set every use looks the name up again so that phased
-     * writes land in the acting node's TLS shard (StatRegistry::Redirect).
+     * The counter behind @p s, in the registry a write lands in on this
+     * thread: the root, or under the phased engine the acting node's
+     * shard (StatRegistry::Redirect). Resolved on first use, so a stat
+     * the run never touches stays out of the dump. The handles are
+     * cached per acting node, plus one set for serial context, so each
+     * cache has one thread of use.
      */
-    sim::Counter &
-    stat(Stat s)
-    {
-        sim::Counter *c = statCache_[static_cast<std::size_t>(s)];
-        return (c != nullptr && !parallel_) ? *c : resolveStat(s);
-    }
-    sim::Counter &resolveStat(Stat s);
-    /** The "cs.missLatency" summary; same caching rules as stat(). */
+    sim::Counter &stat(Stat s);
+    /**
+     * The "cs.missLatency" summary: serially a handle cached on first
+     * use; while parallel_ is set it is looked up by name on each miss.
+     */
     sim::Summary &missLatencyStat();
 
     struct DeviceWindow
@@ -727,9 +746,10 @@ class CoherentSystem
     /** One lock per tile's private arrays; see tileGuard(). */
     std::unique_ptr<std::mutex[]> tileMu_;
 
-    /** Serial-mode stat handles; null until first use (see stat()). */
-    std::array<sim::Counter *, static_cast<std::size_t>(Stat::kCount)>
-        statCache_{};
+    /** Per acting node, then one set for serial context; see stat(). */
+    std::vector<
+        sim::CounterHandles<static_cast<std::size_t>(Stat::kCount)>>
+        statHandles_;
     sim::Summary *missLatencyCache_ = nullptr;
 
     CoherenceObserver *observer_ = nullptr;

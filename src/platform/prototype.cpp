@@ -302,6 +302,20 @@ class Prototype::CorePort : public riscv::MemPort
         return old;
     }
 
+    bool
+    defers(Addr addr, riscv::PortOp op) override
+    {
+        // Only a node phase defers: serial context (the sequential
+        // engine, setup, the barrier's replay) runs every access now.
+        if (sim::currentNode() == sim::kNoNode || proto_.replaying_)
+            return false;
+        static constexpr cache::AccessType kType[] = {
+            cache::AccessType::kFetch, cache::AccessType::kLoad,
+            cache::AccessType::kStore, cache::AccessType::kAtomic};
+        return proto_.cs_->crossesNode(gid_, addr,
+                                       kType[static_cast<int>(op)]);
+    }
+
   private:
     Prototype &proto_;
     GlobalTileId gid_;
@@ -856,6 +870,9 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
         std::uint64_t executed = 0;
         bool done = false;
         bool parked = false; ///< In wfi, waiting for an interrupt.
+        /** Its next instruction reaches another node and waits for the
+         *  barrier. Never set while a checkpoint is taken. */
+        bool deferred = false;
     };
     struct NodeState
     {
@@ -984,6 +1001,17 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
     } live_scope{this};
     live_ = &live;
 
+    // Classifies a core after run() returned @p r.
+    auto settle = [&](CoreState &s, riscv::HaltReason r) {
+        if (r == riscv::HaltReason::kExited ||
+            r == riscv::HaltReason::kEbreak) {
+            s.done = true;
+        } else if (r == riscv::HaltReason::kWfi) {
+            if (!core(s.gid).interruptPending())
+                s.parked = true; // Barriers re-arm on wake.
+        }
+    };
+
     auto node_phase = [&](std::uint32_t n) {
         sim::ActingNodeScope acting(n);
         sim::StatRegistry::Redirect redirect(&stats_, &shards[n]);
@@ -995,7 +1023,7 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
             // the sequential engine's policy restricted to one node.
             CoreState *next = nullptr;
             for (auto &s : node.cores) {
-                if (s.done || s.parked)
+                if (s.done || s.parked || s.deferred)
                     continue;
                 if (core(s.gid).cycles() >= boundary)
                     continue;
@@ -1012,16 +1040,62 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
                 next->done = true;
                 continue;
             }
-            riscv::HaltReason r = c.run(chunk);
-            next->executed += chunk;
+            std::uint64_t ran = 0;
+            riscv::HaltReason r = c.run(chunk, &ran);
             node.progressed = true;
-            if (r == riscv::HaltReason::kExited ||
-                r == riscv::HaltReason::kEbreak) {
-                next->done = true;
-            } else if (r == riscv::HaltReason::kWfi) {
-                if (!c.interruptPending())
-                    next->parked = true; // Barriers re-arm on wake.
+            if (r == riscv::HaltReason::kDeferred) {
+                // The next instruction reaches another node: the core
+                // sits out the rest of the phase and the barrier runs it.
+                next->executed += ran;
+                next->deferred = true;
+                continue;
             }
+            next->executed += chunk;
+            settle(*next, r);
+        }
+    };
+
+    // Runs the instructions the phases deferred, one per waiting core,
+    // serially and in (core clock, gid) order, so the shared directory,
+    // LLC, DRAM and bridge servers see cross-node accesses in simulated
+    // time order whatever the worker count. Each runs as its own node
+    // (acting-node tag, stat shard), so its mailbox posts, stats and
+    // trace events land where a phase would put them. A wedged node's
+    // cores keep waiting, as its phase would.
+    auto replay_deferred = [&] {
+        std::vector<CoreState *> waiting;
+        for (std::uint32_t n = 0; n < nodes; ++n) {
+            if (wedged[n])
+                continue;
+            for (auto &s : ns[n].cores) {
+                if (s.deferred)
+                    waiting.push_back(&s);
+            }
+        }
+        if (waiting.empty())
+            return;
+        std::sort(waiting.begin(), waiting.end(),
+                  [&](const CoreState *a, const CoreState *b) {
+                      Cycles ca = core(a->gid).cycles();
+                      Cycles cb = core(b->gid).cycles();
+                      return ca != cb ? ca < cb : a->gid < b->gid;
+                  });
+        struct ReplayScope
+        {
+            bool &flag;
+            ~ReplayScope() { flag = false; }
+        } replay_scope{replaying_};
+        replaying_ = true;
+        for (CoreState *s : waiting) {
+            NodeId n = s->gid / cfg_.tilesPerNode;
+            sim::ActingNodeScope acting(n);
+            sim::StatRegistry::Redirect redirect(&stats_, &shards[n]);
+            riscv::HaltReason r = core(s->gid).run(1);
+            panicIf(r == riscv::HaltReason::kDeferred,
+                    "deferred instruction deferred again at the barrier");
+            s->deferred = false;
+            s->executed += 1;
+            settle(*s, r);
         }
     };
 
@@ -1032,9 +1106,10 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
         std::max<std::uint64_t>(1, 1'000'000 / quantum);
 
     auto barrier = [&](std::uint64_t) -> bool {
-        // Serial context: replay deferred cross-node interactions in
-        // deterministic mailbox order, then advance shared device time
-        // to the boundary.
+        // Serial context: run the deferred cross-node instructions, replay
+        // deferred cross-node interactions in deterministic mailbox
+        // order, then advance shared device time to the boundary.
+        replay_deferred();
         std::uint64_t delivered = router_.drain();
         clint_->setTime(boundary);
         std::uint64_t events = eq_.runUntil(boundary);

@@ -414,6 +414,9 @@ class Prototype
     Cycles probeClock_ = 0;
     PhasedResume resume_;
     PhasedLive *live_ = nullptr; ///< Non-null only inside runCoresPhased.
+    /** Set while the phased barrier runs deferred instructions: the core
+     *  ports then let cross-node accesses through. */
+    bool replaying_ = false;
     std::function<void(Cycles)> barrierProbe_;
     std::vector<std::unique_ptr<accel::GngAccelerator>> gngs_;
     std::vector<std::unique_ptr<accel::MapleEngine>> maples_;

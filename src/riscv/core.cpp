@@ -1,5 +1,8 @@
 #include "riscv/core.hpp"
 
+#include <iterator>
+#include <string>
+
 #include "obs/tracer.hpp"
 #include "sim/log.hpp"
 #include "snap/state_io.hpp"
@@ -53,7 +56,23 @@ faultCause(MemAccess access)
     return kCauseLoadPageFault;
 }
 
+/** Registry names of RvCore::CoreStat, in enum order. */
+const std::string kCoreStatNames[] = {
+    "core.instret",
+    "core.branches",
+    "core.mispredicts",
+};
+
 } // namespace
+
+sim::Counter &
+RvCore::coreStat(CoreStat s)
+{
+    static_assert(std::size(kCoreStatNames) ==
+                  static_cast<std::size_t>(CoreStat::kCount));
+    auto i = static_cast<std::size_t>(s);
+    return statHandles_.get(*stats_, i, kCoreStatNames[i]);
+}
 
 RvCore::RvCore(const CoreConfig &cfg, MemPort &port,
                sim::StatRegistry *stats)
@@ -192,6 +211,8 @@ RvCore::translate(Addr vaddr, MemAccess access, Cycles &lat)
     for (int level = 2; level >= 0; --level) {
         std::uint64_t vpn_i = (vaddr >> (12 + 9 * level)) & 0x1ff;
         Addr pte_addr = table + vpn_i * 8;
+        if (port_.defers(pte_addr, PortOp::kLoad))
+            return TranslateResult{0, false, 0, true};
         Cycles pte_lat = 0;
         std::uint64_t pte = port_.load(pte_addr, 8, cycles_ + lat, pte_lat);
         lat += pte_lat;
@@ -223,6 +244,8 @@ RvCore::translate(Addr vaddr, MemAccess access, Cycles &lat)
             if (access == MemAccess::kStore)
                 new_pte |= kPteD;
             if (new_pte != pte) {
+                if (port_.defers(pte_addr, PortOp::kStore))
+                    return TranslateResult{0, false, 0, true};
                 Cycles st_lat = 0;
                 port_.store(pte_addr, 8, new_pte, cycles_ + lat, st_lat);
                 lat += st_lat;
@@ -408,20 +431,29 @@ RvCore::setCsr(std::uint16_t num, std::uint64_t value)
 }
 
 HaltReason
-RvCore::run(std::uint64_t max_instructions)
+RvCore::run(std::uint64_t max_instructions, std::uint64_t *stepped)
 {
-    for (std::uint64_t i = 0; i < max_instructions; ++i) {
+    std::uint64_t steps = 0;
+    auto halt = [&](HaltReason r) {
+        if (stepped)
+            *stepped = steps;
+        return r;
+    };
+    while (steps < max_instructions) {
         if (exited_)
-            return HaltReason::kExited;
+            return halt(HaltReason::kExited);
         step();
+        if (lastStall_ == Stall::kDeferred)
+            return halt(HaltReason::kDeferred);
+        ++steps;
         if (exited_)
-            return HaltReason::kExited;
+            return halt(HaltReason::kExited);
         if (lastStall_ == Stall::kEbreak)
-            return HaltReason::kEbreak;
+            return halt(HaltReason::kEbreak);
         if (lastStall_ == Stall::kWfi)
-            return HaltReason::kWfi;
+            return halt(HaltReason::kWfi);
     }
-    return HaltReason::kInstrBudget;
+    return halt(HaltReason::kInstrBudget);
 }
 
 Cycles
@@ -430,105 +462,129 @@ RvCore::step()
     if (exited_)
         return 0;
     lastStall_ = Stall::kNone;
-    if (maybeTakeInterrupt()) {
-        cycles_ += cfg_.mispredictPenalty; // Redirect cost.
-        if (commit_) {
-            CommitRecord rec;
-            rec.pc = pc_;
-            rec.interrupt = true;
-            commit_(*this, rec);
-        }
-        return cfg_.mispredictPenalty;
-    }
 
-    Cycles total = cfg_.baseCycles; // Pipeline base CPI.
     Addr pc = pc_;
-
-    // Fetch-side traps retire nothing but still redirect control; the
-    // commit observer hears about them so a lockstep follower can track
-    // the pc.
-    auto commitFetchTrap = [&] {
-        if (!commit_)
-            return;
-        CommitRecord rec;
-        rec.pc = pc;
-        rec.trapped = true;
-        commit_(*this, rec);
-    };
-
-    if (pc & 3) {
-        takeTrap(kCauseMisalignedFetch, pc);
-        cycles_ += total;
-        commitFetchTrap();
-        return total;
-    }
-
-    // Fetch (with translation).
-    Cycles xlat_lat = 0;
-    TranslateResult tr = translate(pc, MemAccess::kFetch, xlat_lat);
-    total += xlat_lat;
-    if (tr.fault) {
-        takeTrap(tr.cause, pc);
-        cycles_ += total;
-        commitFetchTrap();
-        return total;
-    }
     std::uint32_t word = 0;
     DecodedInst d;
-    bool decoded = false;
-    // Decode-cache fast path. Only untranslated fetches qualify: a
-    // translated fetch's iTLB lookup mutates checkpointed replacement
-    // state, which the fast path must not skip. The L1I-hit gate
-    // (fetchFastHit) replicates the hit path's timing and side effects
-    // exactly and inherits coherence invalidations; the entry's write
-    // stamp catches same-hart stores, DMA and loader writes.
-    if (decodeCache_.enabled() && !translationActive()) {
-        if (const DecodeCache::Entry *e = decodeCache_.find(pc)) {
-            Cycles hit_lat = 0;
-            if (port_.fetchFastHit(tr.paddr, cycles_, hit_lat)) {
-                if (hit_lat > 1)
-                    total += hit_lat - 1;
-                word = e->word;
-                d = e->inst;
+    Cycles total = cfg_.baseCycles; // Pipeline base CPI.
+    // A deferral before the instruction is fetched leaves nothing to
+    // resume: the next step() starts over.
+    auto deferFetch = [&] {
+        lastStall_ = Stall::kDeferred;
+        return Cycles{0};
+    };
+    if (deferred_) {
+        // Resume a deferred instruction: its interrupt check, fetch and
+        // trace already happened.
+        word = deferred_->word;
+        d = deferred_->inst;
+        total = deferred_->total;
+        deferred_.reset();
+    } else {
+        if (maybeTakeInterrupt()) {
+            cycles_ += cfg_.mispredictPenalty; // Redirect cost.
+            if (commit_) {
+                CommitRecord rec;
+                rec.pc = pc_;
+                rec.interrupt = true;
+                commit_(*this, rec);
+            }
+            return cfg_.mispredictPenalty;
+        }
+
+        // Fetch-side traps retire nothing but still redirect control;
+        // the commit observer hears about them so a lockstep follower
+        // can track the pc.
+        auto commitFetchTrap = [&] {
+            if (!commit_)
+                return;
+            CommitRecord rec;
+            rec.pc = pc;
+            rec.trapped = true;
+            commit_(*this, rec);
+        };
+
+        if (pc & 3) {
+            takeTrap(kCauseMisalignedFetch, pc);
+            cycles_ += total;
+            commitFetchTrap();
+            return total;
+        }
+
+        // Fetch (with translation).
+        Cycles xlat_lat = 0;
+        TranslateResult tr = translate(pc, MemAccess::kFetch, xlat_lat);
+        if (tr.deferred)
+            return deferFetch();
+        total += xlat_lat;
+        if (tr.fault) {
+            takeTrap(tr.cause, pc);
+            cycles_ += total;
+            commitFetchTrap();
+            return total;
+        }
+        bool decoded = false;
+        // Decode-cache fast path. Only untranslated fetches qualify: a
+        // translated fetch's iTLB lookup mutates checkpointed replacement
+        // state, which the fast path must not skip. The L1I-hit gate
+        // (fetchFastHit) replicates the hit path's timing and side
+        // effects exactly and inherits coherence invalidations; the
+        // entry's write stamp catches same-hart stores, DMA and loader
+        // writes.
+        if (decodeCache_.enabled() && !translationActive()) {
+            if (const DecodeCache::Entry *e = decodeCache_.find(pc)) {
+                Cycles hit_lat = 0;
+                if (port_.fetchFastHit(tr.paddr, cycles_, hit_lat)) {
+                    if (hit_lat > 1)
+                        total += hit_lat - 1;
+                    word = e->word;
+                    d = e->inst;
+                    decoded = true;
+                    decodeCache_.countHit();
+                } else {
+                    decodeCache_.countBypass();
+                }
+            }
+            if (!decoded) {
+                if (port_.defers(tr.paddr, PortOp::kFetch))
+                    return deferFetch();
+                // The stamp is sampled before the fetch so a write racing
+                // the fill can only make the entry conservatively stale.
+                CodeRef ref = port_.codeRef(tr.paddr);
+                Cycles fetch_lat = 0;
+                word = port_.fetch(tr.paddr, cycles_, fetch_lat);
+                if (fetch_lat > 1)
+                    total += fetch_lat - 1;
+                d = decode(word);
                 decoded = true;
-                decodeCache_.countHit();
-            } else {
-                decodeCache_.countBypass();
+                decodeCache_.fill(pc, word, d, ref);
+                if (tracerDecode_) {
+                    obs::TraceEvent ev =
+                        obs::event(obs::EventKind::kDecodeFill);
+                    ev.cycle = cycles_;
+                    ev.arg = pc;
+                    ev.node = traceNode_;
+                    ev.tile = static_cast<std::uint16_t>(cfg_.hartId);
+                    tracerDecode_->record(ev);
+                }
             }
         }
         if (!decoded) {
-            // The stamp is sampled before the fetch so a write racing
-            // the fill can only make the entry conservatively stale.
-            CodeRef ref = port_.codeRef(tr.paddr);
+            if (port_.defers(tr.paddr, PortOp::kFetch))
+                return deferFetch();
             Cycles fetch_lat = 0;
             word = port_.fetch(tr.paddr, cycles_, fetch_lat);
             if (fetch_lat > 1)
-                total += fetch_lat - 1;
+                total += fetch_lat - 1; // L1I hit: covered by the base.
             d = decode(word);
-            decoded = true;
-            decodeCache_.fill(pc, word, d, ref);
-            if (tracerDecode_) {
-                obs::TraceEvent ev =
-                    obs::event(obs::EventKind::kDecodeFill);
-                ev.cycle = cycles_;
-                ev.arg = pc;
-                ev.node = traceNode_;
-                ev.tile = static_cast<std::uint16_t>(cfg_.hartId);
-                tracerDecode_->record(ev);
-            }
         }
-    }
-    if (!decoded) {
-        Cycles fetch_lat = 0;
-        word = port_.fetch(tr.paddr, cycles_, fetch_lat);
-        if (fetch_lat > 1)
-            total += fetch_lat - 1; // L1I hit is covered by the base cycle.
-        d = decode(word);
-    }
-    lastWord_ = word;
+        lastWord_ = word;
 
-    if (trace_)
-        trace_(pc, d);
+        if (trace_)
+            trace_(pc, d);
+    }
+    const Cycles fetched = total;
+
     Addr next_pc = pc + 4;
     bool redirect = false;
     bool env_absorbed = false;
@@ -541,10 +597,22 @@ RvCore::step()
     };
 
     // Data access helper: translate + access, with fault handling.
+    // `defer` is set when the port defers an access (or a page-table
+    // walk): the instruction stops there and waits, fetched, for the
+    // next step().
     bool trapped = false;
+    bool defer = false;
+    auto mustDefer = [&](Addr pa, PortOp op) {
+        defer = port_.defers(pa, op);
+        return defer;
+    };
     auto dataAddr = [&](MemAccess acc, Addr vaddr) -> Addr {
         Cycles lat = 0;
         TranslateResult r = translate(vaddr, acc, lat);
+        if (r.deferred) {
+            defer = true;
+            return 0;
+        }
         total += lat;
         if (r.fault) {
             takeTrap(r.cause, vaddr);
@@ -588,11 +656,11 @@ RvCore::step()
           if (predicted != taken) {
               total += cfg_.mispredictPenalty;
               if (stats_)
-                  stats_->counter("core.mispredicts").increment();
+                  coreStat(CoreStat::kMispredicts).increment();
           }
           trainBht(pc, taken);
           if (stats_)
-              stats_->counter("core.branches").increment();
+              coreStat(CoreStat::kBranches).increment();
           if (taken)
               next_pc = pc + static_cast<std::uint64_t>(d.imm);
           break;
@@ -601,7 +669,7 @@ RvCore::step()
       case Op::kLbu: case Op::kLhu: case Op::kLwu: {
           Addr va = rs1() + static_cast<std::uint64_t>(d.imm);
           Addr pa = dataAddr(MemAccess::kLoad, va);
-          if (trapped)
+          if (trapped || defer)
               break;
           std::uint32_t bytes = 1;
           if (d.op == Op::kLh || d.op == Op::kLhu)
@@ -621,8 +689,11 @@ RvCore::step()
           std::uint64_t v = 0;
           if (!(cfg_.dataFastPath && !translationActive() &&
                 (pa & (bytes - 1)) == 0 &&
-                port_.loadFastHit(pa, bytes, cycles_, lat, v)))
+                port_.loadFastHit(pa, bytes, cycles_, lat, v))) {
+              if (mustDefer(pa, PortOp::kLoad))
+                  break;
               v = port_.load(pa, bytes, cycles_, lat);
+          }
           total += lat;
           switch (d.op) {
             case Op::kLb:
@@ -645,7 +716,7 @@ RvCore::step()
       case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd: {
           Addr va = rs1() + static_cast<std::uint64_t>(d.imm);
           Addr pa = dataAddr(MemAccess::kStore, va);
-          if (trapped)
+          if (trapped || defer)
               break;
           std::uint32_t bytes = 1;
           if (d.op == Op::kSh)
@@ -660,8 +731,11 @@ RvCore::step()
           Cycles lat = 0;
           if (!(cfg_.dataFastPath && !translationActive() &&
                 (pa & (bytes - 1)) == 0 &&
-                port_.storeFastHit(pa, bytes, rs2(), cycles_, lat)))
+                port_.storeFastHit(pa, bytes, rs2(), cycles_, lat))) {
+              if (mustDefer(pa, PortOp::kStore))
+                  break;
               port_.store(pa, bytes, rs2(), cycles_, lat);
+          }
           total += lat;
           hasReservation_ = false;
           break;
@@ -890,9 +964,11 @@ RvCore::step()
         break;
       case Op::kLrW: case Op::kLrD: {
           Addr pa = dataAddr(MemAccess::kLoad, rs1());
-          if (trapped)
+          if (trapped || defer)
               break;
           std::uint32_t bytes = d.op == Op::kLrW ? 4 : 8;
+          if (mustDefer(pa, PortOp::kLoad))
+              break;
           Cycles lat = 0;
           std::uint64_t v = port_.load(pa, bytes, cycles_, lat);
           total += lat;
@@ -905,10 +981,12 @@ RvCore::step()
       }
       case Op::kScW: case Op::kScD: {
           Addr pa = dataAddr(MemAccess::kStore, rs1());
-          if (trapped)
+          if (trapped || defer)
               break;
           std::uint32_t bytes = d.op == Op::kScW ? 4 : 8;
           if (hasReservation_ && reservation_ == lineAlign(pa)) {
+              if (mustDefer(pa, PortOp::kStore))
+                  break;
               Cycles lat = 0;
               port_.store(pa, bytes, rs2(), cycles_, lat);
               total += lat;
@@ -922,7 +1000,9 @@ RvCore::step()
       default: {
           if (d.isAmo()) {
               Addr pa = dataAddr(MemAccess::kStore, rs1());
-              if (trapped)
+              if (trapped || defer)
+                  break;
+              if (mustDefer(pa, PortOp::kAtomic))
                   break;
               bool is64 = d.op >= Op::kAmoSwapD;
               std::uint32_t bytes = is64 ? 8 : 4;
@@ -970,12 +1050,17 @@ RvCore::step()
       }
     }
 
+    if (defer) {
+        deferred_ = Fetched{word, d, fetched};
+        lastStall_ = Stall::kDeferred;
+        return 0;
+    }
     if (!redirect && !trapped)
         pc_ = next_pc;
     ++instret_;
     cycles_ += total;
     if (stats_)
-        stats_->counter("core.instret").increment();
+        coreStat(CoreStat::kInstret).increment();
     if (tracer_) {
         obs::TraceEvent ev = obs::event(obs::EventKind::kCoreCommit);
         ev.cycle = cycles_ - total;
@@ -1108,6 +1193,7 @@ RvCore::restoreState(snap::Reader &r)
     exitCode_ = static_cast<std::int64_t>(r.u64());
     lastWord_ = r.u32();
     lastStall_ = static_cast<Stall>(r.u8());
+    deferred_.reset();
 
     // The restored memory image may differ arbitrarily from the one the
     // memoized decodes were taken against.

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -45,6 +46,15 @@ enum class MemAccess : std::uint8_t
     kStore,
 };
 
+/** Kinds of memory operation a MemPort may be asked to defer. */
+enum class PortOp : std::uint8_t
+{
+    kFetch,
+    kLoad,
+    kStore,
+    kAtomic,
+};
+
 /**
  * The core's window onto the memory system. Latencies returned through
  * @p lat are in core cycles and include the full miss path.
@@ -68,6 +78,22 @@ class MemPort
     atomic(Addr addr, std::uint32_t bytes,
            const std::function<std::uint64_t(std::uint64_t)> &rmw,
            Cycles now, Cycles &lat) = 0;
+
+    /**
+     * True when the @p op access at physical @p addr must not run now.
+     * The phased engine defers an instruction that would touch another
+     * node's state to its next serial barrier: the core asks before each
+     * access that missed the fast paths, stops before the instruction
+     * retires and reports HaltReason::kDeferred, and its next step()
+     * completes the instruction. The default never defers.
+     */
+    virtual bool
+    defers(Addr addr, PortOp op)
+    {
+        (void)addr;
+        (void)op;
+        return false;
+    }
 
     /**
      * Decode-cache fast path: when the fetch of @p addr would hit the
@@ -173,6 +199,9 @@ enum class HaltReason : std::uint8_t
     kExited,      ///< Environment requested exit (see exitCode()).
     kEbreak,      ///< Hit an ebreak.
     kWfi,         ///< Waiting for interrupt with none pending.
+    /** The next instruction waits for a serial point (MemPort::defers);
+     *  it has not retired, and the next step() completes it. */
+    kDeferred,
 };
 
 /**
@@ -229,8 +258,13 @@ class RvCore
     RvCore(const CoreConfig &cfg, MemPort &port,
            sim::StatRegistry *stats = nullptr);
 
-    /** Executes instructions until a halt condition. */
-    HaltReason run(std::uint64_t max_instructions);
+    /**
+     * Executes instructions until a halt condition. When @p stepped is
+     * non-null it receives the number of steps that ran; a deferred step
+     * is not one of them.
+     */
+    HaltReason run(std::uint64_t max_instructions,
+                   std::uint64_t *stepped = nullptr);
 
     /** Executes one instruction; returns the cycles it consumed. */
     Cycles step();
@@ -323,7 +357,19 @@ class RvCore
         Addr paddr = 0;
         bool fault = false;
         std::uint64_t cause = 0;
+        bool deferred = false; ///< A page-table access was deferred.
     };
+
+    /** Counters bumped on every retired instruction or branch. */
+    enum class CoreStat : std::uint8_t
+    {
+        kInstret,
+        kBranches,
+        kMispredicts,
+        kCount,
+    };
+    /** The counter behind @p s in the registry a write lands in now. */
+    sim::Counter &coreStat(CoreStat s);
 
     bool translationActive() const;
     /** Flushes the decode cache, emitting the kDecodeFlush trace event. */
@@ -346,6 +392,8 @@ class RvCore
     CoreConfig cfg_;
     MemPort &port_;
     sim::StatRegistry *stats_;
+    sim::CounterHandles<static_cast<std::size_t>(CoreStat::kCount)>
+        statHandles_;
     obs::Tracer *tracer_ = nullptr;
     obs::Tracer *tracerDecode_ = nullptr;
     std::uint16_t traceNode_ = 0;
@@ -385,12 +433,27 @@ class RvCore
         kNone,
         kWfi,
         kEbreak,
+        kDeferred,
+    };
+
+    /**
+     * An instruction fetched, decoded and traced whose execution waits
+     * for a serial point (Stall::kDeferred). The next step() executes it
+     * without taking interrupts or fetching again, so a deferred
+     * instruction has the fetch-side effects of one execution.
+     */
+    struct Fetched
+    {
+        std::uint32_t word;
+        DecodedInst inst;
+        Cycles total; ///< Cycles charged up to the end of the fetch.
     };
 
     bool exited_ = false;
     std::int64_t exitCode_ = 0;
     std::uint32_t lastWord_ = 0; ///< Last fetched instruction (halt info).
     Stall lastStall_ = Stall::kNone;
+    std::optional<Fetched> deferred_;
     EcallHandler ecall_;
     TraceFn trace_;
     CommitFn commit_;

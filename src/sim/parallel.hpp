@@ -23,7 +23,10 @@
  * node-disjoint (cross-node interaction flows through the mailbox or the
  * event queue), results are bit-identical for any worker count, because
  * node phases touch disjoint state and every serializing step (mailbox
- * drain, event pump, stat-shard merge) runs in a fixed order.
+ * drain, event pump, stat-shard merge) runs in a fixed order. The
+ * platform keeps its cores' footprint node-disjoint: an instruction
+ * whose memory access would reach another node waits for the barrier,
+ * which runs it serially (Prototype::runCores, MemPort::defers).
  */
 
 #pragma once

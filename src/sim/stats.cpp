@@ -1,6 +1,7 @@
 #include "sim/stats.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 
@@ -77,6 +78,13 @@ Histogram::reset()
 
 thread_local StatRegistry *StatRegistry::tlsRoot_ = nullptr;
 thread_local StatRegistry *StatRegistry::tlsShard_ = nullptr;
+
+std::uint64_t
+StatRegistry::Serial::next()
+{
+    static std::atomic<std::uint64_t> counter{0};
+    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 StatRegistry::Redirect::Redirect(StatRegistry *root, StatRegistry *shard)
     : prevRoot_(tlsRoot_), prevShard_(tlsShard_)

@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -218,6 +219,18 @@ class StatRegistry
         StatRegistry *prevShard_;
     };
 
+    /** The registry a write through this one lands in on the calling
+     *  thread: the shard a live Redirect binds to it, else itself. */
+    StatRegistry &target() { return active(); }
+
+    /**
+     * Identity of this registry's stat storage. Every constructed,
+     * copied, moved or assigned registry gets a new one, so a handle
+     * taken from the registry with a given serial stays valid for as
+     * long as a registry carries that serial (see CounterHandles).
+     */
+    std::uint64_t serial() const { return serial_.value; }
+
     /** Folds every stat of @p o into this registry (counters add,
      *  summaries/histograms merge). */
     void mergeFrom(const StatRegistry &o);
@@ -258,9 +271,68 @@ class StatRegistry
     static thread_local StatRegistry *tlsRoot_;
     static thread_local StatRegistry *tlsShard_;
 
+    /** A serial number that no copy or move carries over. */
+    struct Serial
+    {
+        static std::uint64_t next();
+
+        Serial() = default;
+        Serial(const Serial &) : value(next()) {}
+        Serial(Serial &&o) noexcept : value(next()) { o.value = next(); }
+        Serial &
+        operator=(const Serial &)
+        {
+            value = next();
+            return *this;
+        }
+        Serial &
+        operator=(Serial &&o) noexcept
+        {
+            value = next();
+            o.value = next();
+            return *this;
+        }
+
+        std::uint64_t value = next();
+    };
+
     std::map<std::string, Counter> counters_;
     std::map<std::string, Summary> summaries_;
     std::map<std::string, Histogram> histograms_;
+    Serial serial_;
+};
+
+/**
+ * Counter handles for a fixed list of N names, each resolved on first use
+ * in the registry a write through the given root lands in on the calling
+ * thread (StatRegistry::target()). A handle is reused while that target
+ * keeps its serial; any other target (another shard, a new registry)
+ * resolves afresh. Saves the by-name map lookup on hot paths while
+ * leaving stats exactly where, and exactly when, counter() would create
+ * them. Not synchronized: use one instance per thread of use.
+ */
+template <std::size_t N>
+class CounterHandles
+{
+  public:
+    /** Counter @p i, named @p name, in @p root's current target. */
+    Counter &
+    get(StatRegistry &root, std::size_t i, const std::string &name)
+    {
+        StatRegistry &reg = root.target();
+        if (reg.serial() != serial_) {
+            handles_.fill(nullptr);
+            serial_ = reg.serial();
+        }
+        Counter *&c = handles_[i];
+        if (c == nullptr)
+            c = &reg.counter(name);
+        return *c;
+    }
+
+  private:
+    std::uint64_t serial_ = 0; ///< Serials start at 1.
+    std::array<Counter *, N> handles_{};
 };
 
 } // namespace smappic::sim

@@ -84,12 +84,9 @@ INSTANTIATE_TEST_SUITE_P(Engines, LitmusEngines,
  *  checker is detached for these runs; an attached observer makes the
  *  fast path bail everywhere, which would compare the slow path against
  *  itself. The sequential comparison uses the cross-node 2x1x2 spec;
- *  the phased comparisons confine all harts to one node (1x1x4),
- *  because the phased determinism contract only covers node-disjoint
- *  mid-quantum footprints — cross-node sharing resolves miss races in
- *  worker-interleaving order, so two runs of *either* path can
- *  legitimately diverge there (outcome-table membership still holds
- *  and is covered by LitmusEngines). */
+ *  the phased comparisons put all harts on one node (1x1x4), so all
+ *  four share one phase (outcome-table membership across engines is
+ *  covered by LitmusEngines). */
 TEST(Litmus, DataFastPathOnAndOffObserveIdenticalOutcomes)
 {
     for (const LitmusTest &t : standardLitmusSuite()) {

@@ -158,6 +158,28 @@ TEST(CacheArray, SlotsAreStableUntilEviction)
     EXPECT_EQ(c.lineAt(2), 5 * 256u);
 }
 
+TEST(CacheArray, VictimSlotPredictsInsertAndMutatesNothing)
+{
+    CacheArray c(256, 4, 64); // One set, 4 ways.
+    for (Addr a = 0; a < 3; ++a) {
+        EXPECT_EQ(c.victimSlot(a * 256), CacheArray::kNoSlot);
+        c.insert(a * 256, 0);
+    }
+    EXPECT_EQ(c.victimSlot(3 * 256), CacheArray::kNoSlot);
+    c.insert(3 * 256, 0);
+    c.lookup(0);
+    c.lookup(256);
+    // Line 2 is LRU; asking twice changes nothing.
+    EXPECT_EQ(c.victimSlot(9 * 256), 2u);
+    EXPECT_EQ(c.victimSlot(9 * 256), 2u);
+    std::uint32_t slot = CacheArray::kNoSlot;
+    auto victim = c.insert(9 * 256, 0, &slot);
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_EQ(victim->line, 2 * 256u);
+    EXPECT_EQ(slot, 2u);
+    EXPECT_EQ(c.victimSlot(10 * 256), 3u);
+}
+
 TEST(CacheArray, RestoreRejectsLineInTheWrongSet)
 {
     // Two sets: line 0x40 belongs to set 1, never to slot 0 of set 0.

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "cache/coherent_system.hpp"
 #include "sim/random.hpp"
 
@@ -284,6 +287,141 @@ TEST(CoherentSystem, PropertyRandomizedInvariants)
     EXPECT_GT(cs.stats().counterValue("cs.llc.evictions"), 0u);
     EXPECT_GT(cs.stats().counterValue("cs.bpc.writebacks"), 0u);
 }
+
+/** A device that answers every access at once. */
+struct NullDevice : NcDevice
+{
+    std::uint64_t
+    ncLoad(Addr, std::uint32_t, Cycles, Cycles &service) override
+    {
+        service = 1;
+        return 0;
+    }
+    void
+    ncStore(Addr, std::uint32_t, std::uint64_t, Cycles,
+            Cycles &service) override
+    {
+        service = 1;
+    }
+};
+
+TEST(CoherentSystem, CrossesNodeNamesRemoteWork)
+{
+    Geometry geo = smallGeo(2, 2);
+    geo.bpcBytes = 256; // One set of four ways.
+    CoherentSystem cs(geo, TimingParams{}, HomingPolicy::kAddressNode);
+    const Addr local = 0x1000;                   // Node 0's DRAM.
+    const Addr remote = geo.memPerNode + 0x1000; // Node 1's DRAM.
+
+    EXPECT_TRUE(cs.crossesNode(0, remote, AccessType::kLoad));
+    EXPECT_FALSE(cs.crossesNode(0, local, AccessType::kLoad));
+
+    // Tile 2 (node 1) shares a node-0 line: its own hits stay on its
+    // tile, node 0 may read the line but not write it.
+    cs.access(2, local, AccessType::kLoad, 8, 0);
+    EXPECT_FALSE(cs.crossesNode(2, local, AccessType::kLoad));
+    EXPECT_FALSE(cs.crossesNode(0, local, AccessType::kLoad));
+    EXPECT_TRUE(cs.crossesNode(0, local, AccessType::kStore));
+    EXPECT_TRUE(cs.crossesNode(0, local, AccessType::kAtomic));
+    // A remote owner must be asked even for a load.
+    cs.access(2, local + 0x40, AccessType::kStore, 8, 1000);
+    EXPECT_TRUE(cs.crossesNode(0, local + 0x40, AccessType::kLoad));
+
+    // Tile 1's BPC: the remote-homed line is LRU, so the next fill's
+    // victim notice goes to node 1; after it, every victim is local.
+    cs.access(1, remote, AccessType::kLoad, 8, 2000);
+    for (Addr i = 1; i <= 3; ++i)
+        cs.access(1, local + 0x100 * i, AccessType::kLoad, 8, 2000 + i);
+    EXPECT_TRUE(cs.crossesNode(1, local + 0x400, AccessType::kLoad));
+    cs.access(1, local + 0x400, AccessType::kLoad, 8, 3000);
+    EXPECT_FALSE(cs.crossesNode(1, local + 0x500, AccessType::kLoad));
+
+    // NC memory and device windows go where their target is.
+    EXPECT_TRUE(cs.crossesNode(0, remote, AccessType::kNcLoad));
+    EXPECT_FALSE(cs.crossesNode(0, local, AccessType::kNcStore));
+    NullDevice dev;
+    cs.addDevice(0xf0000000, 0x1000, 2, &dev);
+    EXPECT_TRUE(cs.crossesNode(0, 0xf0000000, AccessType::kLoad));
+    EXPECT_FALSE(cs.crossesNode(3, 0xf0000000, AccessType::kStore));
+}
+
+/**
+ * Everything of nodes other than @p me that inspectLine() shows: their
+ * tiles' private copies, the directory entries they home, and the
+ * bridge traffic count.
+ */
+std::string
+foreignState(CoherentSystem &cs, NodeId me)
+{
+    std::ostringstream os;
+    const std::uint32_t tiles = cs.geometry().tilesPerNode;
+    cs.forEachKnownLine([&](Addr line) {
+        LineView v = cs.inspectLine(line);
+        if (v.homeNode != me)
+            os << line << " home " << v.homeSliceHolds << ' ' << v.sharers
+               << ' ' << v.owner << ' ' << v.dirty << '\n';
+        for (GlobalTileId g = 0; g < v.tiles.size(); ++g) {
+            const TileLineView &t = v.tiles[g];
+            if (g / tiles != me && (t.inL1d || t.inL1i || t.inBpc))
+                os << line << " tile " << g << ' ' << t.inL1d << t.inL1i
+                   << t.inBpc << t.bpcState << '\n';
+        }
+    });
+    os << cs.stats().counterValue("cs.bridge.crossings");
+    return os.str();
+}
+
+class NodeLocalProperty : public ::testing::TestWithParam<HomingPolicy>
+{
+};
+
+TEST_P(NodeLocalProperty, AccessesLeaveOtherNodesAlone)
+{
+    // Whenever crossesNode() says no, the access must leave every other
+    // node's state as it was. Small caches force BPC and LLC victims;
+    // global-hash homing puts home slices and DRAM on different nodes.
+    sim::Xoroshiro rng(77);
+    Geometry geo = smallGeo(2, 4);
+    geo.bpcBytes = 1 << 10;
+    geo.l1dBytes = 512;
+    geo.l1iBytes = 512;
+    geo.llcSliceBytes = 1 << 10;
+    CoherentSystem cs(geo, TimingParams{}, GetParam());
+
+    std::uint64_t local = 0;
+    std::uint64_t crossing = 0;
+    Cycles now = 0;
+    for (int i = 0; i < 3000; ++i) {
+        auto gid = static_cast<GlobalTileId>(rng.below(8));
+        Addr addr = (rng.below(96) * 64) +
+                    (rng.chance(0.3) ? geo.memPerNode : 0);
+        const AccessType kinds[] = {AccessType::kLoad, AccessType::kLoad,
+                                    AccessType::kFetch, AccessType::kStore,
+                                    AccessType::kAtomic};
+        AccessType type = kinds[rng.below(5)];
+        NodeId me = gid / geo.tilesPerNode;
+        now += 20;
+        if (cs.crossesNode(gid, addr, type)) {
+            ++crossing;
+            cs.access(gid, addr, type, 8, now);
+            continue;
+        }
+        ++local;
+        std::string before = foreignState(cs, me);
+        cs.access(gid, addr, type, 8, now);
+        ASSERT_EQ(foreignState(cs, me), before)
+            << "iteration " << i << ": tile " << gid << " type "
+            << static_cast<int>(type) << " addr 0x" << std::hex << addr;
+    }
+    EXPECT_TRUE(cs.checkDirectory());
+    EXPECT_GT(local, 500u);
+    EXPECT_GT(crossing, 500u);
+    EXPECT_GT(cs.stats().counterValue("cs.llc.evictions"), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Homing, NodeLocalProperty,
+                         ::testing::Values(HomingPolicy::kAddressNode,
+                                           HomingPolicy::kGlobalHash));
 
 TEST(CoherentSystem, GlobalHashHomingCrossesForFills)
 {

@@ -357,6 +357,60 @@ TEST(ParallelPlatform, PhasedMatchesSequentialFunctionalResults)
     EXPECT_EQ(seq.stats().counterValue("platform.irqDeferred"), 0u);
 }
 
+/**
+ * Every hart adds 1 to one shared dword with amoadd.d, 256 times. Code
+ * and counter live on node 0 only, so the harts of nodes 1-3 fetch and
+ * add across the bridge while node 0's harts add locally. A node phase
+ * running its read-modify-write on the counter beside another node's
+ * loses an increment.
+ */
+constexpr const char *kSharedCounterSource = R"(
+_start:
+    la t0, counter
+    li t1, 1
+    li t2, 256
+add_loop:
+    amoadd.d zero, t1, (t0)
+    addi t2, t2, -1
+    bnez t2, add_loop
+    li a0, 0
+    li a7, 93
+    ecall
+
+.data
+.align 6
+counter: .dword 0
+)";
+
+TEST(ParallelPlatform, SharedCounterKeepsEveryIncrementAcrossThreadCounts)
+{
+    std::string ref_dump;
+    for (std::uint32_t threads : {1u, 2u, 4u}) {
+        PrototypeConfig cfg = PrototypeConfig::parse("4x1x2");
+        cfg.parallel.threads = threads;
+        cfg.parallel.quantum = 63;
+        Prototype proto(cfg);
+        riscv::Program prog = proto.loadSource(kSharedCounterSource);
+        std::vector<GlobalTileId> gids;
+        for (GlobalTileId g = 0; g < cfg.totalTiles(); ++g)
+            gids.push_back(g);
+        proto.runCores(gids, 500000);
+
+        for (GlobalTileId g : gids)
+            EXPECT_TRUE(proto.core(g).exited()) << "hart " << g;
+        EXPECT_EQ(proto.memory().load(prog.symbol("counter"), 8),
+                  256u * gids.size())
+            << "increments lost at " << threads << " threads";
+        std::ostringstream os;
+        proto.stats().dump(os);
+        if (threads == 1)
+            ref_dump = os.str();
+        else
+            EXPECT_EQ(os.str(), ref_dump)
+                << "stat dump diverged at " << threads << " threads";
+    }
+}
+
 TEST(ParallelPlatform, DefaultConfigKeepsSequentialEngine)
 {
     PrototypeConfig cfg = PrototypeConfig::parse("1x1x2");

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "mem/main_memory.hpp"
 #include "riscv/assembler.hpp"
 #include "riscv/core.hpp"
@@ -317,6 +319,90 @@ done:
     ecall
 )");
     EXPECT_EQ(r.exitCode, 0);
+}
+
+/**
+ * A flat port that defers every access to one address while `held`, and
+ * counts the fetches (full or fast) of each pc.
+ */
+class DeferringPort : public FlatPort
+{
+  public:
+    bool
+    defers(Addr addr, PortOp) override
+    {
+        return held && addr == heldAddr;
+    }
+
+    std::uint32_t
+    fetch(Addr addr, Cycles now, Cycles &lat) override
+    {
+        ++fetches[addr];
+        return FlatPort::fetch(addr, now, lat);
+    }
+
+    bool
+    fetchFastHit(Addr addr, Cycles now, Cycles &lat) override
+    {
+        ++fetches[addr];
+        return FlatPort::fetchFastHit(addr, now, lat);
+    }
+
+    bool held = true;
+    Addr heldAddr = 0;
+    std::map<Addr, int> fetches;
+};
+
+TEST(AsmExec, DeferredInstructionRetiresOnceWhenResumed)
+{
+    const char *src = R"(
+.data
+.align 3
+counter: .dword 10
+.text
+_start:
+    la t0, counter
+    li t1, 5
+    amoadd.d t2, t1, (t0)
+    addi a0, t2, 0
+    li a7, 93
+    ecall
+)";
+    FlatPort ref_port;
+    RunResult ref = runProgram(src, ref_port);
+
+    DeferringPort port;
+    Assembler as;
+    Program prog = as.assemble(src);
+    loadProgram(port.memory, prog);
+    port.heldAddr = prog.symbol("counter");
+    CoreConfig cfg;
+    cfg.resetPc = prog.entry;
+    RvCore core(cfg, port);
+    test::installExitHandler(core);
+
+    // The amoadd stops before any effect: nothing retires or is charged.
+    std::uint64_t stepped = 0;
+    EXPECT_EQ(core.run(100, &stepped), HaltReason::kDeferred);
+    EXPECT_EQ(stepped, 3u); // auipc, addi (la) and li.
+    const Addr amo_pc = core.pc();
+    const std::uint64_t instret = core.instret();
+    const Cycles cycles = core.cycles();
+    EXPECT_EQ(port.memory.load(port.heldAddr, 8), 10u);
+    EXPECT_EQ(core.run(100, &stepped), HaltReason::kDeferred);
+    EXPECT_EQ(stepped, 0u);
+    EXPECT_EQ(core.instret(), instret);
+    EXPECT_EQ(core.cycles(), cycles);
+    EXPECT_EQ(core.pc(), amo_pc);
+
+    // Released, it completes as one execution of the instruction.
+    port.held = false;
+    EXPECT_EQ(core.run(100), HaltReason::kExited);
+    EXPECT_EQ(core.exitCode(), 10);
+    EXPECT_EQ(port.memory.load(port.heldAddr, 8), 15u);
+    EXPECT_EQ(core.instret(), ref.instret);
+    EXPECT_EQ(core.cycles(), ref.cycles);
+    EXPECT_EQ(port.fetches[amo_pc], 1);
 }
 
 TEST(AsmExec, CsrAccessAndHartid)
