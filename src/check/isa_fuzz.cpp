@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "check/cli.hpp"
 #include "platform/prototype.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
@@ -311,36 +312,29 @@ mixName(FuzzMix mix)
     return "?";
 }
 
-FuzzMix
-parseMix(const std::string &name)
+const char *
+defectName(riscv::CoreTestMutation defect)
 {
-    for (FuzzMix m : {FuzzMix::kAlu, FuzzMix::kMul, FuzzMix::kMem,
-                      FuzzMix::kAmo, FuzzMix::kCsr, FuzzMix::kAll,
-                      FuzzMix::kSmc}) {
-        if (name == mixName(m))
-            return m;
+    switch (defect) {
+      case riscv::CoreTestMutation::kNone: return "none";
+      case riscv::CoreTestMutation::kMulhCorrupt: return "mulh";
+      case riscv::CoreTestMutation::kStaleDecode: return "stale-decode";
     }
-    fatal("unknown fuzz mix: " + name);
+    return "?";
 }
 
 std::string
 reproCommand(const FuzzConfig &cfg)
 {
-    std::ostringstream os;
-    os << "diff_run --spec " << cfg.spec << " --seed " << cfg.seed
-       << " --count " << cfg.count << " --mix " << mixName(cfg.mix);
-    if (cfg.shared)
-        os << " --shared";
-    if (cfg.threads >= 1)
-        os << " --threads " << cfg.threads << " --quantum "
-           << cfg.quantum;
-    if (cfg.reference)
-        os << " --reference";
-    if (cfg.defect == riscv::CoreTestMutation::kMulhCorrupt)
-        os << " --defect mulh";
-    else if (cfg.defect == riscv::CoreTestMutation::kStaleDecode)
-        os << " --defect stale-decode";
-    return os.str();
+    std::ostringstream shape;
+    shape << " --count " << cfg.count << " --mix " << mixName(cfg.mix)
+          << (cfg.shared ? " --shared" : "");
+    std::ostringstream tail;
+    tail << (cfg.reference ? " --reference" : "");
+    if (cfg.defect != riscv::CoreTestMutation::kNone)
+        tail << " --defect " << defectName(cfg.defect);
+    return cli::reproLine("fuzz", cfg.spec, cfg.seed, shape.str(),
+                          cfg.parallel, tail.str());
 }
 
 std::string
@@ -404,10 +398,7 @@ runFuzz(const FuzzConfig &cfg)
     pcfg.lockstep.enabled = true;
     if (cfg.shared)
         pcfg.lockstep.shared.emplace_back(kSharedBase, kSharedBytes);
-    if (cfg.threads >= 1) {
-        pcfg.parallel.threads = cfg.threads;
-        pcfg.parallel.quantum = cfg.quantum;
-    }
+    pcfg.parallel = cfg.parallel;
 
     platform::Prototype proto(pcfg);
     for (GlobalTileId g = 0; g < proto.coreCount(); ++g)

@@ -29,6 +29,7 @@
 
 #include "check/lockstep.hpp"
 #include "riscv/core.hpp"
+#include "sim/parallel.hpp"
 #include "sim/types.hpp"
 
 namespace smappic::check
@@ -47,8 +48,8 @@ enum class FuzzMix : std::uint8_t
 };
 
 const char *mixName(FuzzMix mix);
-/** @throws FatalError on an unknown mix name. */
-FuzzMix parseMix(const std::string &name);
+/** The `--defect` name of an armed test mutation. */
+const char *defectName(riscv::CoreTestMutation defect);
 
 /** One fuzz run, fully determined by its field values. */
 struct FuzzConfig
@@ -57,9 +58,9 @@ struct FuzzConfig
     std::uint64_t seed = 1;
     std::uint32_t count = 256; ///< Instruction slots per hart.
     FuzzMix mix = FuzzMix::kAll;
-    bool shared = false;   ///< Sprinkle cross-hart shared-line accesses.
-    std::uint32_t threads = 0; ///< 0 = sequential engine; >=1 = phased.
-    Cycles quantum = 256;      ///< Phased quantum (threads >= 1 only).
+    bool shared = false; ///< Sprinkle cross-hart shared-line accesses.
+    /** Engine; the default runs the sequential engine. */
+    sim::ParallelConfig parallel;
     /** Every host-only fast path off (PrototypeConfig::disableFastPaths). */
     bool reference = false;
     riscv::CoreTestMutation defect = riscv::CoreTestMutation::kNone;
@@ -80,10 +81,10 @@ struct MinimizeResult
     FuzzResult result;     ///< Final run of the minimized config.
     FuzzConfig minimized;  ///< Smallest config still diverging.
     std::uint32_t shrinkSteps = 0;
-    std::string repro;     ///< "repro: diff_run ..." (empty if clean).
+    std::string repro;     ///< "repro: smappic fuzz ..." (empty if clean).
 };
 
-/** Renders the diff_run command line reproducing @p cfg. */
+/** Renders the `smappic fuzz` command line reproducing @p cfg. */
 std::string reproCommand(const FuzzConfig &cfg);
 
 /** Deterministic program text for @p cfg on @p harts harts. */

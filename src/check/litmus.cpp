@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "check/cli.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
 
@@ -136,15 +137,9 @@ LitmusResult::histogram() const
 std::string
 reproCommand(const LitmusConfig &cfg)
 {
-    std::ostringstream os;
-    os << "litmus_run --litmus --spec " << cfg.spec << " --seed "
-       << cfg.seed << " --iters " << cfg.iterations;
-    if (cfg.parallel.threads > 1 || cfg.parallel.quantum > 0)
-        os << " --threads " << cfg.parallel.threads << " --quantum "
-           << cfg.parallel.quantum;
-    if (cfg.reference)
-        os << " --reference";
-    return os.str();
+    return cli::reproLine("litmus", cfg.spec, cfg.seed,
+                          " --iters " + std::to_string(cfg.iterations),
+                          cfg.parallel, cfg.reference ? " --reference" : "");
 }
 
 LitmusResult

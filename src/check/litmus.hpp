@@ -124,8 +124,8 @@ std::string emitLitmusAsm(const LitmusTest &test,
 std::vector<GlobalTileId> litmusPlacement(const platform::PrototypeConfig &,
                                           std::size_t threads);
 
-/** Renders the `litmus_run --litmus` command line that re-runs the
- *  standard suite under @p cfg. */
+/** Renders the `smappic litmus` command line that re-runs the standard
+ *  suite under @p cfg. */
 std::string reproCommand(const LitmusConfig &cfg);
 
 /** Runs @p test under @p cfg; see LitmusResult. */

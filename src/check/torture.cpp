@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "check/cli.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
 
@@ -17,16 +18,11 @@ constexpr std::uint32_t kSlotsPerLine = kCacheLineBytes / 8;
 std::string
 reproCommand(const TortureConfig &cfg)
 {
-    std::ostringstream os;
-    os << "litmus_run --torture --spec " << cfg.spec << " --seed "
-       << cfg.seed << " --ops " << cfg.opsPerCore << " --lines "
-       << cfg.sharedLines;
-    if (cfg.parallel.threads > 1 || cfg.parallel.quantum > 0)
-        os << " --threads " << cfg.parallel.threads << " --quantum "
-           << cfg.parallel.quantum;
-    if (cfg.reliability.enabled)
-        os << " --faulty";
-    return os.str();
+    return cli::reproLine("torture", cfg.spec, cfg.seed,
+                          " --ops " + std::to_string(cfg.opsPerCore) +
+                              " --lines " + std::to_string(cfg.sharedLines),
+                          cfg.parallel,
+                          cfg.reliability.enabled ? " --faulty" : "");
 }
 
 TortureProgram
@@ -45,13 +41,18 @@ generateTorture(const TortureConfig &cfg)
     out.finalSlots.assign(nslots, 0);
     out.checksums.assign(ncores, 0);
 
+    // mhartid dispatch. The conditional branch lands on a nearby `j`
+    // trampoline because the core bodies outgrow the +-4 KiB B-type
+    // range on 4-node specs (jal reaches +-1 MiB).
     std::ostringstream os;
     os << "_start:\n    csrr a0, 0xf14\n";
     for (std::uint32_t c = 0; c < ncores; ++c) {
         os << "    li a1, " << c << "\n";
-        os << "    beq a0, a1, core_" << c << "\n";
+        os << "    beq a0, a1, tramp_" << c << "\n";
     }
     os << "    li a0, 0\n    li a7, 93\n    ecall\n";
+    for (std::uint32_t c = 0; c < ncores; ++c)
+        os << "tramp_" << c << ":\n    j core_" << c << "\n";
 
     for (std::uint32_t c = 0; c < ncores; ++c) {
         // Slot ownership: global slot G belongs to core G % ncores, so

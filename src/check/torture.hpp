@@ -68,7 +68,7 @@ struct TortureReport
     std::vector<std::string> mismatches;
     /** Minimization rounds that led to this report (0 = first run). */
     std::uint32_t shrinkSteps = 0;
-    /** Copy-pasteable `litmus_run` command reproducing this run. */
+    /** Copy-pasteable `smappic torture` command reproducing this run. */
     std::string repro;
 };
 
@@ -84,10 +84,10 @@ struct TortureProgram
  *  seed, opsPerCore, sharedLines and the spec's hart count). */
 TortureProgram generateTorture(const TortureConfig &cfg);
 
-/** Renders the `litmus_run --torture` command line reproducing @p cfg.
- *  The reliable link is on only under `litmus_run --faulty`, so a
- *  config with it on prints `--faulty`, which reproduces litmus_run's
- *  own fault plan (no other plan is expressible there). */
+/** Renders the `smappic torture` command line reproducing @p cfg. The
+ *  reliable link is on only under `--faulty`, so a config with it on
+ *  prints `--faulty`, which reproduces that flag's own fault plan (no
+ *  other plan is expressible on the command line). */
 std::string reproCommand(const TortureConfig &cfg);
 
 /** Runs one torture config to a verdict. */

@@ -318,8 +318,8 @@ class Prototype
 
     /** Installs a hook called at every phased-engine quantum barrier
      *  (serial context, after the auto-checkpoint point) with the
-     *  boundary cycle. Used by snap_ctl --kill-at and the crash-recovery
-     *  tests. */
+     *  boundary cycle. Used by `smappic snap --kill-at` and the
+     *  crash-recovery tests. */
     void setBarrierProbe(std::function<void(Cycles)> fn)
     {
         barrierProbe_ = std::move(fn);

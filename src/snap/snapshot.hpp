@@ -3,7 +3,7 @@
  * Checkpoint policy and checkpoint-file utilities on top of the SMCK
  * container (snap/state_io.hpp): the SnapshotConfig knob carried by
  * PrototypeConfig, deterministic checkpoint naming, retention pruning,
- * and the inspect/validate/diff primitives behind tools/snap_ctl.
+ * and the inspect/validate/diff primitives behind `smappic snap`.
  */
 
 #pragma once

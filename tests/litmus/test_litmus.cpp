@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "check/cli.hpp"
 #include "check/litmus.hpp"
 #include "riscv/assembler.hpp"
 #include "sim/types.hpp"
@@ -138,16 +141,35 @@ mutationConfig()
 
 TEST(Litmus, ReproCommandRoundTrips)
 {
+    // Each repro line must parse back, through the driver's flag table,
+    // into the config it was rendered from.
+    auto replays = [](const LitmusConfig &cfg) {
+        cli::Options opt;
+        ASSERT_TRUE(cli::parseRepro(reproCommand(cfg), opt))
+            << reproCommand(cfg);
+        auto fields = [](const LitmusConfig &c) {
+            return std::tie(c.spec, c.seed, c.iterations, c.parallel.threads,
+                            c.parallel.quantum, c.reference);
+        };
+        const LitmusConfig back = cli::litmusConfig(opt);
+        EXPECT_EQ(fields(back), fields(cfg));
+    };
     LitmusConfig cfg;
     cfg.seed = 91;
     EXPECT_EQ(reproCommand(cfg),
-              "litmus_run --litmus --spec 2x1x2 --seed 91 --iters 8");
+              "smappic litmus --spec 2x1x2 --seed 91 --iters 8");
+    replays(cfg);
+    cfg.parallel.quantum = 100; // Phased at one worker.
+    EXPECT_EQ(reproCommand(cfg),
+              "smappic litmus --spec 2x1x2 --seed 91 --iters 8 "
+              "--threads 1 --quantum 100");
+    replays(cfg);
     cfg.parallel.threads = 2;
-    cfg.parallel.quantum = 100;
     cfg.reference = true;
     EXPECT_EQ(reproCommand(cfg),
-              "litmus_run --litmus --spec 2x1x2 --seed 91 --iters 8 "
+              "smappic litmus --spec 2x1x2 --seed 91 --iters 8 "
               "--threads 2 --quantum 100 --reference");
+    replays(cfg);
 }
 
 TEST(Litmus, MutationCatchTestPassesOnUnmutatedPlatform)

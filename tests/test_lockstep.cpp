@@ -21,7 +21,9 @@
 
 #include <sstream>
 #include <string>
+#include <tuple>
 
+#include "check/cli.hpp"
 #include "check/isa_fuzz.hpp"
 #include "check/lockstep.hpp"
 #include "platform/prototype.hpp"
@@ -261,7 +263,7 @@ TEST(LockstepAmoRegression, WordAmoIgnoresUpperSourceBits)
 
 // ---------------------------------------------------------------------
 // Seeded fuzzer, fixed-seed matrix (the CI job runs the same shapes
-// through the diff_run CLI).
+// through `smappic fuzz`).
 
 TEST(LockstepFuzz, FixedSeedSequentialIsClean)
 {
@@ -281,7 +283,7 @@ TEST(LockstepFuzz, FixedSeedPhasedWorkersAreClean)
         cfg.spec = "1x2x1";
         cfg.seed = 11;
         cfg.count = 96;
-        cfg.threads = workers;
+        cfg.parallel = {workers, 256};
         FuzzResult r = runFuzz(cfg);
         EXPECT_FALSE(r.diverged) << "workers " << workers;
         EXPECT_TRUE(r.exitedCleanly) << "workers " << workers;
@@ -323,14 +325,16 @@ TEST(LockstepFuzz, DataFastPathOnAndOffReachIdenticalFinalState)
     // one node: with cross-hart sharing enabled, the phased engine only
     // guarantees run-to-run determinism for node-confined footprints —
     // cross-node miss races resolve in worker-interleaving order.
-    for (std::uint32_t workers : {0u, 2u, 4u}) {
+    for (sim::ParallelConfig engine :
+         {sim::ParallelConfig{}, {2, 256}, {4, 256}}) {
+        const std::uint32_t workers = engine.threads;
         FuzzConfig cfg;
         cfg.spec = "1x1x2";
         cfg.seed = 23;
         cfg.count = 128;
         cfg.mix = FuzzMix::kMem;
         cfg.shared = true;
-        cfg.threads = workers;
+        cfg.parallel = engine;
 
         FuzzResult on = runFuzz(cfg);
         cfg.reference = true;
@@ -366,7 +370,7 @@ TEST(LockstepFuzz, MulhDefectMinimizesToRepro)
     MinimizeResult m = runFuzzAndMinimize(cfg);
     ASSERT_TRUE(m.result.diverged);
     EXPECT_LE(m.minimized.count, cfg.count / 2); // It actually shrank.
-    EXPECT_EQ(m.repro.rfind("repro: diff_run", 0), 0u) << m.repro;
+    EXPECT_EQ(m.repro.rfind("repro: smappic fuzz", 0), 0u) << m.repro;
     EXPECT_NE(m.repro.find("--defect mulh"), std::string::npos);
 }
 
@@ -388,20 +392,45 @@ TEST(LockstepFuzz, StaleDecodeDefectIsDetected)
 
 TEST(LockstepFuzz, ReproCommandRoundTrips)
 {
+    // Each repro line must parse back, through the driver's flag table,
+    // into the config it was rendered from.
+    auto replays = [](const FuzzConfig &cfg) {
+        cli::Options opt;
+        ASSERT_TRUE(cli::parseRepro(reproCommand(cfg), opt))
+            << reproCommand(cfg);
+        auto fields = [](const FuzzConfig &c) {
+            return std::tie(c.spec, c.seed, c.count, c.mix, c.shared,
+                            c.parallel.threads, c.parallel.quantum,
+                            c.reference, c.defect);
+        };
+        const FuzzConfig back = cli::fuzzConfig(opt);
+        EXPECT_EQ(fields(back), fields(cfg));
+    };
     FuzzConfig cfg;
     cfg.spec = "1x2x1";
     cfg.seed = 99;
     cfg.count = 64;
     cfg.mix = FuzzMix::kAmo;
     cfg.shared = true;
-    cfg.threads = 2;
+    replays(cfg);
+    cfg.parallel.quantum = 100; // Phased at one worker.
     EXPECT_EQ(reproCommand(cfg),
-              "diff_run --spec 1x2x1 --seed 99 --count 64 --mix amo "
+              "smappic fuzz --spec 1x2x1 --seed 99 --count 64 --mix amo "
+              "--shared --threads 1 --quantum 100");
+    replays(cfg);
+    cfg.parallel = {2, 256};
+    EXPECT_EQ(reproCommand(cfg),
+              "smappic fuzz --spec 1x2x1 --seed 99 --count 64 --mix amo "
               "--shared --threads 2 --quantum 256");
+    replays(cfg);
     cfg.reference = true;
+    cfg.mix = FuzzMix::kMul;
+    cfg.defect = CoreTestMutation::kMulhCorrupt;
     EXPECT_EQ(reproCommand(cfg),
-              "diff_run --spec 1x2x1 --seed 99 --count 64 --mix amo "
-              "--shared --threads 2 --quantum 256 --reference");
+              "smappic fuzz --spec 1x2x1 --seed 99 --count 64 --mix mul "
+              "--shared --threads 2 --quantum 256 --reference "
+              "--defect mulh");
+    replays(cfg);
 }
 
 // ---------------------------------------------------------------------

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "check/cli.hpp"
 #include "check/torture.hpp"
 #include "sim/types.hpp"
 
@@ -72,17 +75,24 @@ TEST(TortureHarness, SeedSweepPassesSequentially)
 
 TEST(TortureHarness, ParallelEngineMatchesGoldenModel)
 {
-    for (std::uint32_t threads : {1u, 2u, 4u}) {
-        TortureConfig cfg;
-        cfg.seed = 11;
-        cfg.parallel.threads = threads;
-        cfg.parallel.quantum = 63;
-        TortureReport rep = runTorture(cfg);
-        EXPECT_TRUE(rep.passed)
-            << threads << " workers: "
-            << (rep.mismatches.empty() ? "checker violations"
-                                       : rep.mismatches[0]);
-        EXPECT_NE(rep.repro.find("--threads"), std::string::npos);
+    // At 4x1x2 and 96 ops the core bodies lie past the +-4 KiB reach of
+    // the mhartid dispatch branch.
+    for (auto [spec, ops] :
+         {std::pair{"2x1x2", 64u}, std::pair{"4x1x2", 96u}}) {
+        for (std::uint32_t threads : {1u, 2u, 4u}) {
+            TortureConfig cfg;
+            cfg.spec = spec;
+            cfg.seed = 11;
+            cfg.opsPerCore = ops;
+            cfg.parallel.threads = threads;
+            cfg.parallel.quantum = 63;
+            TortureReport rep = runTorture(cfg);
+            EXPECT_TRUE(rep.passed)
+                << spec << ", " << threads << " workers: "
+                << (rep.mismatches.empty() ? "checker violations"
+                                           : rep.mismatches[0]);
+            EXPECT_NE(rep.repro.find("--threads"), std::string::npos);
+        }
     }
 }
 
@@ -102,17 +112,39 @@ TEST(TortureHarness, SurvivesFaultySubstrateWithReliableBridge)
 
 TEST(TortureHarness, ReproCommandRoundTrips)
 {
+    // Each repro line must parse back, through the driver's flag table,
+    // into the config it was rendered from.
+    auto replays = [](const TortureConfig &cfg) {
+        cli::Options opt;
+        ASSERT_TRUE(cli::parseRepro(reproCommand(cfg), opt))
+            << reproCommand(cfg);
+        auto fields = [](const TortureConfig &c) {
+            return std::tie(c.spec, c.seed, c.opsPerCore, c.sharedLines,
+                            c.parallel.threads, c.parallel.quantum,
+                            c.reliability.enabled);
+        };
+        const TortureConfig back = cli::tortureConfig(opt, opt.seed);
+        EXPECT_EQ(fields(back), fields(cfg));
+    };
     TortureConfig cfg;
     cfg.seed = 6;
     EXPECT_EQ(reproCommand(cfg),
-              "litmus_run --torture --spec 2x1x2 --seed 6 --ops 64 "
-              "--lines 4");
+              "smappic torture --spec 2x1x2 --seed 6 --ops 64 --lines 4");
+    replays(cfg);
+    cfg.parallel.quantum = 100; // Phased at one worker.
+    EXPECT_EQ(reproCommand(cfg),
+              "smappic torture --spec 2x1x2 --seed 6 --ops 64 --lines 4 "
+              "--threads 1 --quantum 100");
+    replays(cfg);
+    cfg.spec = "4x1x2";
+    cfg.opsPerCore = 96;
     cfg.parallel.threads = 2;
     cfg.parallel.quantum = 63;
-    cfg.reliability.enabled = true; // What litmus_run --faulty sets.
+    cfg.reliability.enabled = true; // What --faulty sets.
     EXPECT_EQ(reproCommand(cfg),
-              "litmus_run --torture --spec 2x1x2 --seed 6 --ops 64 "
-              "--lines 4 --threads 2 --quantum 63 --faulty");
+              "smappic torture --spec 4x1x2 --seed 6 --ops 96 --lines 4 "
+              "--threads 2 --quantum 63 --faulty");
+    replays(cfg);
 }
 
 TEST(TortureHarness, MutationFailsMinimizesAndReproduces)

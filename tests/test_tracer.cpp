@@ -200,9 +200,9 @@ TEST(TraceIo, RejectsMalformedInput)
     EXPECT_THROW(readBinary(truncated), FatalError);
 }
 
-/** The --window predicate shared with trace_dump is half-open [A, B):
- *  the start cycle is in, the end cycle is out, adjacent windows tile
- *  a trace exactly, and an empty/inverted window selects nothing. */
+/** The --window predicate shared with `smappic trace` is half-open
+ *  [A, B): the start cycle is in, the end cycle is out, adjacent windows
+ *  tile a trace exactly, and an empty/inverted window selects nothing. */
 TEST(TraceIo, WindowPredicateIsHalfOpenOnBoundaryCycles)
 {
     EXPECT_TRUE(cycleInWindow(10, 10, 20));  // from is inclusive
